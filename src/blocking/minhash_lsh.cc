@@ -1,5 +1,6 @@
 #include "blocking/minhash_lsh.h"
 
+#include <algorithm>
 #include <limits>
 #include <unordered_map>
 #include <unordered_set>
@@ -42,20 +43,23 @@ MinHashLshBlocker::MinHashLshBlocker(MinHashLshOptions options)
     : options_(std::move(options)) {
   TRANSER_CHECK_GT(options_.num_bands, 0u);
   TRANSER_CHECK_GT(options_.rows_per_band, 0u);
+  TRANSER_CHECK_GT(options_.shingle_q, 0u);
   Rng rng(options_.seed);
   const size_t rows = options_.num_bands * options_.rows_per_band;
   hash_seeds_.reserve(rows);
   for (size_t i = 0; i < rows; ++i) hash_seeds_.push_back(rng.NextUint64());
 }
 
-std::vector<uint64_t> MinHashLshBlocker::ShingleHashes(
-    const Record& record) const {
-  std::vector<uint64_t> hashes;
+void MinHashLshBlocker::SignatureInto(const Record& record,
+                                      std::span<uint64_t> signature) const {
+  // Shingle hashes of the normalised values, each q-gram hashed as a view
+  // into its value. Duplicates are dropped: a minimum ignores repeats.
+  std::vector<uint64_t> shingles;
   auto add_value = [&](const std::string& value) {
     const std::string norm = NormalizeValue(value);
-    for (const auto& gram : QGrams(norm, options_.shingle_q)) {
-      hashes.push_back(HashBytes(gram, /*seed=*/0));
-    }
+    ForEachQGram(norm, options_.shingle_q, [&](std::string_view gram) {
+      shingles.push_back(HashBytes(gram, /*seed=*/0));
+    });
   };
   if (options_.attributes.empty()) {
     for (const auto& value : record.values) add_value(value);
@@ -64,22 +68,45 @@ std::vector<uint64_t> MinHashLshBlocker::ShingleHashes(
       if (index < record.values.size()) add_value(record.values[index]);
     }
   }
-  return hashes;
-}
+  std::sort(shingles.begin(), shingles.end());
+  shingles.erase(std::unique(shingles.begin(), shingles.end()),
+                 shingles.end());
 
-std::vector<uint64_t> MinHashLshBlocker::Signature(
-    const Record& record) const {
-  const std::vector<uint64_t> shingles = ShingleHashes(record);
   const size_t rows = hash_seeds_.size();
-  std::vector<uint64_t> signature(rows,
-                                  std::numeric_limits<uint64_t>::max());
+  TRANSER_CHECK_EQ(signature.size(), rows);
+  std::fill(signature.begin(), signature.end(),
+            std::numeric_limits<uint64_t>::max());
   for (uint64_t shingle : shingles) {
     for (size_t r = 0; r < rows; ++r) {
       const uint64_t h = MixHash(shingle, hash_seeds_[r]);
       if (h < signature[r]) signature[r] = h;
     }
   }
+}
+
+std::vector<uint64_t> MinHashLshBlocker::Signature(
+    const Record& record) const {
+  std::vector<uint64_t> signature(hash_seeds_.size());
+  SignatureInto(record, signature);
   return signature;
+}
+
+Status MinHashLshBlocker::Signatures(const Dataset& dataset,
+                                     const ExecutionContext& context,
+                                     const ParallelOptions& options,
+                                     std::vector<uint64_t>* out) const {
+  const size_t rows = hash_seeds_.size();
+  out->assign(dataset.size() * rows, 0);
+  return ParallelFor(
+      context, "minhash_lsh", dataset.size(),
+      [&](size_t begin, size_t end, size_t /*chunk*/) -> Status {
+        for (size_t i = begin; i < end; ++i) {
+          SignatureInto(dataset.record(i),
+                        std::span<uint64_t>(*out).subspan(i * rows, rows));
+        }
+        return Status::OK();
+      },
+      options);
 }
 
 std::vector<PairRef> MinHashLshBlocker::Block(const Dataset& left,
@@ -90,7 +117,8 @@ std::vector<PairRef> MinHashLshBlocker::Block(const Dataset& left,
 
 Result<std::vector<PairRef>> MinHashLshBlocker::Block(
     const Dataset& left, const Dataset& right,
-    const ExecutionContext& context, RunDiagnostics* diagnostics) const {
+    const ExecutionContext& context, RunDiagnostics* diagnostics,
+    int num_threads) const {
   TRANSER_RETURN_IF_ERROR(context.Check("minhash_lsh", diagnostics));
 
   // For each band, bucket both sides by the band slice of the signature.
@@ -106,16 +134,15 @@ Result<std::vector<PairRef>> MinHashLshBlocker::Block(
       (left.size() + right.size()) * hash_seeds_.size() * sizeof(uint64_t),
       diagnostics));
 
-  std::vector<std::vector<uint64_t>> left_sigs(left.size());
-  std::vector<std::vector<uint64_t>> right_sigs(right.size());
-  for (size_t i = 0; i < left.size(); ++i) {
-    TRANSER_RETURN_IF_ERROR(context.Check("minhash_lsh", diagnostics));
-    left_sigs[i] = Signature(left.record(i));
-  }
-  for (size_t j = 0; j < right.size(); ++j) {
-    TRANSER_RETURN_IF_ERROR(context.Check("minhash_lsh", diagnostics));
-    right_sigs[j] = Signature(right.record(j));
-  }
+  ParallelOptions parallel;
+  parallel.num_threads = num_threads;
+  parallel.min_items_per_chunk = 16;
+  parallel.diagnostics = diagnostics;
+  std::vector<uint64_t> left_sigs;
+  std::vector<uint64_t> right_sigs;
+  TRANSER_RETURN_IF_ERROR(Signatures(left, context, parallel, &left_sigs));
+  TRANSER_RETURN_IF_ERROR(Signatures(right, context, parallel, &right_sigs));
+  const size_t rows = hash_seeds_.size();
 
   std::unordered_set<uint64_t> emitted;  // dedup (left_index, right_index)
   std::vector<PairRef> pairs;
@@ -123,7 +150,7 @@ Result<std::vector<PairRef>> MinHashLshBlocker::Block(
   for (size_t band = 0; band < options_.num_bands; ++band) {
     TRANSER_RETURN_IF_ERROR(context.Check("minhash_lsh", diagnostics));
     std::unordered_map<uint64_t, Bucket> buckets;
-    auto band_key = [&](const std::vector<uint64_t>& sig) {
+    auto band_key = [&](const uint64_t* sig) {
       uint64_t key = 0x9e3779b97f4a7c15ULL + band;
       for (size_t r = 0; r < options_.rows_per_band; ++r) {
         key = MixHash(sig[band * options_.rows_per_band + r], key);
@@ -131,10 +158,10 @@ Result<std::vector<PairRef>> MinHashLshBlocker::Block(
       return key;
     };
     for (size_t i = 0; i < left.size(); ++i) {
-      buckets[band_key(left_sigs[i])].lefts.push_back(i);
+      buckets[band_key(&left_sigs[i * rows])].lefts.push_back(i);
     }
     for (size_t j = 0; j < right.size(); ++j) {
-      buckets[band_key(right_sigs[j])].rights.push_back(j);
+      buckets[band_key(&right_sigs[j * rows])].rights.push_back(j);
     }
     for (const auto& [key, bucket] : buckets) {
       if (bucket.lefts.empty() || bucket.rights.empty()) continue;

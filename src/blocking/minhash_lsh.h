@@ -2,12 +2,14 @@
 #define TRANSER_BLOCKING_MINHASH_LSH_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "data/dataset.h"
 #include "features/feature_matrix.h"
 #include "util/execution_context.h"
+#include "util/parallel.h"
 #include "util/status.h"
 
 namespace transer {
@@ -35,22 +37,30 @@ class MinHashLshBlocker {
   /// Returns deduplicated candidate pairs between `left` and `right`.
   std::vector<PairRef> Block(const Dataset& left, const Dataset& right) const;
 
-  /// Context-observing variant: checks the deadline / cancellation per
-  /// record while min-hashing and per band while bucketing, and reserves
-  /// the signature storage against the memory budget.
+  /// Context-observing variant: min-hashes the records over the parallel
+  /// runtime on `num_threads` lanes (0 = process default), checking the
+  /// deadline / cancellation per chunk of records there and per band
+  /// while bucketing, and reserves the signature storage against the
+  /// memory budget. The pairs and their order are the same for every
+  /// thread count.
   Result<std::vector<PairRef>> Block(const Dataset& left,
                                      const Dataset& right,
                                      const ExecutionContext& context,
-                                     RunDiagnostics* diagnostics = nullptr)
-      const;
+                                     RunDiagnostics* diagnostics = nullptr,
+                                     int num_threads = 0) const;
 
   /// The minhash signature of one record (num_bands*rows_per_band values);
   /// exposed for tests of the LSH property.
   std::vector<uint64_t> Signature(const Record& record) const;
 
  private:
-  /// Joined, normalised shingle set of the configured attributes.
-  std::vector<uint64_t> ShingleHashes(const Record& record) const;
+  /// Writes the signature of `record` into `out` (one value per row).
+  void SignatureInto(const Record& record, std::span<uint64_t> out) const;
+
+  /// Signatures of every record of `dataset`, record-major.
+  Status Signatures(const Dataset& dataset, const ExecutionContext& context,
+                    const ParallelOptions& options,
+                    std::vector<uint64_t>* out) const;
 
   MinHashLshOptions options_;
   std::vector<uint64_t> hash_seeds_;  ///< one per minhash row

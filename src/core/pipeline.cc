@@ -33,7 +33,8 @@ Result<FeatureMatrix> BuildDomainFeatures(const LinkageProblem& problem,
   const MinHashLshBlocker blocker(options.blocking);
   TRANSER_ASSIGN_OR_RETURN(
       const std::vector<PairRef> pairs,
-      blocker.Block(problem.left, problem.right, ctx, diagnostics));
+      blocker.Block(problem.left, problem.right, ctx, diagnostics,
+                    options.num_threads));
   TRANSER_RETURN_IF_ERROR(ctx.Check("pipeline", diagnostics));
 
   auto comparator = PairComparator::Create(problem.left.schema(),

@@ -24,8 +24,9 @@ struct PipelineOptions {
   /// DegradationEvent) rather than failing the whole linkage; set the
   /// policy to kStrict to reject dirty domains instead.
   ValidationOptions validation{.policy = RepairPolicy::kClampValues};
-  /// Worker lanes for the comparison fill (0 = process default). The
-  /// feature matrix is bit-identical for every value.
+  /// Worker lanes for the MinHash signatures, the record profiles and
+  /// the comparison fill (0 = process default). The candidate pairs and
+  /// the feature matrix are bit-identical for every value.
   int num_threads = 0;
 };
 

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace transer {
 
@@ -14,14 +13,20 @@ double AbsoluteDifferenceSimilarity(double a, double b, double max_diff) {
   return 1.0 - diff / max_diff;
 }
 
+double NumericStringSimilarity(const PreparedValue& a, const PreparedValue& b,
+                               double max_diff) {
+  if (a.numeric() && b.numeric()) {
+    return AbsoluteDifferenceSimilarity(a.number(), b.number(), max_diff);
+  }
+  return ExactSimilarity(a.text(), b.text());
+}
+
 double NumericStringSimilarity(std::string_view a, std::string_view b,
                                double max_diff) {
-  double va = 0.0;
-  double vb = 0.0;
-  if (ParseDouble(a, &va) && ParseDouble(b, &vb)) {
-    return AbsoluteDifferenceSimilarity(va, vb, max_diff);
-  }
-  return ExactSimilarity(a, b);
+  const PrepareSpec spec{kPreparedNumber};
+  return NumericStringSimilarity(PreparedValue(std::string(a), spec),
+                                 PreparedValue(std::string(b), spec),
+                                 max_diff);
 }
 
 double ExactSimilarity(std::string_view a, std::string_view b) {

@@ -3,6 +3,8 @@
 
 #include <string_view>
 
+#include "text/prepared_value.h"
+
 namespace transer {
 
 /// Absolute-difference similarity for numeric values:
@@ -11,8 +13,12 @@ namespace transer {
 double AbsoluteDifferenceSimilarity(double a, double b, double max_diff);
 
 /// Parses both strings as numbers and applies AbsoluteDifferenceSimilarity;
-/// non-numeric or missing values fall back to exact string match (1/0).
+/// non-numeric, non-finite (nan, inf) or missing values fall back to
+/// exact string match (1/0).
 double NumericStringSimilarity(std::string_view a, std::string_view b,
+                               double max_diff);
+/// The definition, over values prepared with kPreparedNumber.
+double NumericStringSimilarity(const PreparedValue& a, const PreparedValue& b,
                                double max_diff);
 
 /// Exact-match similarity: 1.0 iff equal (after no normalisation), else 0.

@@ -1,50 +1,36 @@
 #include "text/tokenize.h"
 
 #include <algorithm>
-#include <cctype>
 
 #include "util/logging.h"
 
 namespace transer {
 
+std::string PadForQGrams(std::string_view text, size_t q) {
+  if (q <= 1) return std::string(text);
+  std::string padded(q - 1, '#');
+  padded.append(text);
+  padded.append(q - 1, '$');
+  return padded;
+}
+
 std::vector<std::string> WordTokens(std::string_view text) {
   std::vector<std::string> tokens;
-  std::string current;
-  for (char c : text) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!current.empty()) {
-        tokens.push_back(std::move(current));
-        current.clear();
-      }
-    } else {
-      current.push_back(c);
-    }
-  }
-  if (!current.empty()) tokens.push_back(std::move(current));
+  ForEachWordToken(text, [&](size_t offset, size_t length) {
+    tokens.emplace_back(text.substr(offset, length));
+  });
   return tokens;
 }
 
 std::vector<std::string> QGrams(std::string_view text, size_t q,
                                 bool padded) {
   TRANSER_CHECK_GT(q, 0u);
-  std::string buffer;
-  std::string_view source = text;
-  if (padded && q > 1) {
-    buffer.assign(q - 1, '#');
-    buffer.append(text);
-    buffer.append(q - 1, '$');
-    source = buffer;
-  }
+  const std::string buffer = padded ? PadForQGrams(text, q) : std::string();
+  const std::string_view source = padded ? std::string_view(buffer) : text;
   std::vector<std::string> grams;
-  if (source.empty()) return grams;
-  if (source.size() < q) {
-    grams.emplace_back(source);
-    return grams;
-  }
-  grams.reserve(source.size() - q + 1);
-  for (size_t i = 0; i + q <= source.size(); ++i) {
-    grams.emplace_back(source.substr(i, q));
-  }
+  if (source.size() >= q) grams.reserve(source.size() - q + 1);
+  ForEachQGram(source, q,
+               [&](std::string_view gram) { grams.emplace_back(gram); });
   return grams;
 }
 

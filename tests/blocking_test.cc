@@ -158,6 +158,31 @@ TEST(MinHashLshTest, AttributeSubsetRestrictsShingles) {
 
 // ---------- sorted neighbourhood ----------
 
+TEST(MinHashLshTest, PairsAndTheirOrderAreThreadInvariant) {
+  BibliographicOptions gen_options;
+  gen_options.num_entities = 600;
+  gen_options.right_corruption.typo_probability = 0.3;
+  gen_options.right_corruption.missing_probability = 0.1;
+  const LinkageProblem problem = GenerateBibliographic(gen_options);
+  MinHashLshBlocker blocker;
+  const std::vector<PairRef> plain =
+      blocker.Block(problem.left, problem.right);
+  ASSERT_GT(plain.size(), problem.left.size() / 2);
+  for (int threads : {1, 2, 8}) {
+    auto pairs = blocker.Block(problem.left, problem.right,
+                               ExecutionContext::Unlimited(),
+                               /*diagnostics=*/nullptr, threads);
+    ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
+    ASSERT_EQ(pairs.value().size(), plain.size()) << "threads " << threads;
+    for (size_t i = 0; i < plain.size(); ++i) {
+      ASSERT_EQ(pairs.value()[i].left_index, plain[i].left_index)
+          << "threads " << threads << " pair " << i;
+      ASSERT_EQ(pairs.value()[i].right_index, plain[i].right_index)
+          << "threads " << threads << " pair " << i;
+    }
+  }
+}
+
 TEST(SortedNeighbourhoodTest, WindowCapturesAdjacentKeys) {
   const LinkageProblem problem = SmallProblem();
   SortedNeighbourhoodOptions options;

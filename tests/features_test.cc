@@ -1,8 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "data/bibliographic_generator.h"
+#include "data/demographic_generator.h"
+#include "data/music_generator.h"
 #include "features/ambiguity.h"
 #include "features/comparator.h"
 #include "features/feature_matrix.h"
+#include "text/jaro_winkler.h"
+#include "text/normalize.h"
+#include "text/numeric_similarity.h"
+#include "text/set_similarity.h"
+#include "text/tokenize.h"
+#include "util/string_util.h"
 
 namespace transer {
 namespace {
@@ -120,6 +136,210 @@ TEST(PairComparatorTest, CompareAllLabelsFromEntityIds) {
   EXPECT_EQ(features.label(0), kMatch);
   EXPECT_EQ(features.label(1), kNonMatch);
   EXPECT_DOUBLE_EQ(features.Row(0)[0], 1.0);
+}
+
+// ---------- Record profiles vs. the per-pair definition ----------
+
+// A custom similarity registered by name: its prepared form is the
+// normalised text, and the reference calls it directly.
+double FirstTwoBytesAgree(std::string_view a, std::string_view b) {
+  return a.substr(0, 2) == b.substr(0, 2) ? 1.0 : 0.25;
+}
+
+double ReferenceNumeric(const std::string& a, const std::string& b,
+                        double max_diff) {
+  double va = 0.0;
+  double vb = 0.0;
+  if (ParseDouble(a, &va) && ParseDouble(b, &vb) && std::isfinite(va) &&
+      std::isfinite(vb)) {
+    return AbsoluteDifferenceSimilarity(va, vb, max_diff);
+  }
+  return ExactSimilarity(a, b);
+}
+
+// One similarity from the public per-pair pieces: tokenise, deduplicate
+// and score both values afresh, as the comparator did before profiles.
+double ReferenceSimilarity(const std::string& name, const std::string& a,
+                           const std::string& b) {
+  if (name == "word_jaccard") {
+    return JaccardSimilarity(WordTokens(a), WordTokens(b));
+  }
+  if (name == "qgram_jaccard") {
+    return JaccardSimilarity(QGrams(a, 2, /*padded=*/true),
+                             QGrams(b, 2, /*padded=*/true));
+  }
+  if (name == "qgram_dice") {
+    return DiceSimilarity(QGrams(a, 2, /*padded=*/true),
+                          QGrams(b, 2, /*padded=*/true));
+  }
+  if (name == "monge_elkan") {
+    const auto ta = WordTokens(a);
+    const auto tb = WordTokens(b);
+    return std::max(MongeElkanSimilarity(ta, tb),
+                    MongeElkanSimilarity(tb, ta));
+  }
+  if (name == "jaro_winkler") return JaroWinklerSimilarity(a, b);
+  if (name == "year") return ReferenceNumeric(a, b, 10.0);
+  if (name == "numeric_abs") return ReferenceNumeric(a, b, 100.0);
+  if (name == "test_first_two_bytes") return FirstTwoBytesAgree(a, b);
+  ADD_FAILURE() << "no reference for similarity " << name;
+  return -1.0;
+}
+
+std::vector<double> ReferenceFeatures(const Schema& schema, const Record& l,
+                                      const Record& r) {
+  std::vector<double> features;
+  for (size_t q = 0; q < schema.size(); ++q) {
+    const std::string a = NormalizeValue(l.values[q]);
+    const std::string b = NormalizeValue(r.values[q]);
+    features.push_back(
+        a.empty() || b.empty()
+            ? ComparatorOptions{}.missing_value_similarity
+            : ReferenceSimilarity(schema.attributes()[q].similarity, a, b));
+  }
+  return features;
+}
+
+// Every pair of the problem, compared through CompareAll at 1, 2 and 8
+// threads, must equal the reference bit for bit.
+void ExpectProfilesMatchReference(const LinkageProblem& problem) {
+  const Schema& schema = problem.left.schema();
+  std::vector<PairRef> pairs;
+  for (size_t i = 0; i < problem.left.size(); ++i) {
+    for (size_t j = 0; j < problem.right.size(); ++j) {
+      pairs.push_back(PairRef{i, j});
+    }
+  }
+  auto comparator = PairComparator::Create(schema, problem.right.schema());
+  ASSERT_TRUE(comparator.ok()) << comparator.status().ToString();
+  std::vector<std::vector<double>> reference;
+  reference.reserve(pairs.size());
+  for (const PairRef& pair : pairs) {
+    reference.push_back(ReferenceFeatures(
+        schema, problem.left.record(pair.left_index),
+        problem.right.record(pair.right_index)));
+  }
+  for (int threads : {1, 2, 8}) {
+    ParallelOptions options;
+    options.num_threads = threads;
+    auto features = comparator.value().CompareAll(
+        problem.left, problem.right, pairs, ExecutionContext::Unlimited(),
+        options);
+    ASSERT_TRUE(features.ok()) << features.status().ToString();
+    ASSERT_EQ(features.value().size(), pairs.size());
+    size_t mismatches = 0;
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      const auto row = features.value().Row(i);
+      for (size_t q = 0; q < schema.size(); ++q) {
+        if (std::bit_cast<uint64_t>(row[q]) !=
+            std::bit_cast<uint64_t>(reference[i][q])) {
+          if (++mismatches <= 5) {
+            ADD_FAILURE() << "threads " << threads << " pair " << i
+                          << " feature " << schema.attributes()[q].name
+                          << ": " << row[q] << " vs reference "
+                          << reference[i][q];
+          }
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "threads " << threads;
+  }
+}
+
+TEST(RecordProfileTest, BibliographicMatchesPerPairDefinition) {
+  BibliographicOptions options;
+  options.num_entities = 70;
+  options.right_corruption.typo_probability = 0.4;
+  options.right_corruption.abbreviate_probability = 0.3;
+  options.right_corruption.missing_probability = 0.15;
+  ExpectProfilesMatchReference(GenerateBibliographic(options));
+}
+
+TEST(RecordProfileTest, DemographicMatchesPerPairDefinition) {
+  DemographicOptions options;
+  options.link_type = DemographicLinkType::kBirthParentsToBirthParents;
+  options.num_families = 30;
+  options.right_corruption.missing_probability = 0.15;
+  ExpectProfilesMatchReference(GenerateDemographic(options));
+}
+
+TEST(RecordProfileTest, MusicMatchesPerPairDefinition) {
+  MusicOptions options;
+  options.num_entities = 70;
+  options.right_corruption.typo_probability = 0.4;
+  options.right_corruption.missing_probability = 0.15;
+  ExpectProfilesMatchReference(GenerateMusic(options));
+}
+
+TEST(RecordProfileTest, MissingAndDegenerateValuesMatchPerPairDefinition) {
+  const Schema schema({{"title", "qgram_jaccard"},
+                       {"authors", "monge_elkan"},
+                       {"venue", "word_jaccard"},
+                       {"name", "jaro_winkler"},
+                       {"year", "year"},
+                       {"length", "numeric_abs"},
+                       {"code", "qgram_dice"}});
+  const std::vector<std::vector<std::string>> rows = {
+      {"", "  ", "...", "", "", "", ""},
+      {"a", "j smith", "vldb", "anne", "1999", "210", "x"},
+      {"A!", "Smith, J.", "VLDB  Journal", "ann", "nan", "inf", "X"},
+      {"?!", "j  j  smith", "vldb vldb", "Anne-Marie", "NaN", "-inf", "xy"},
+      {"ab ab", "smith j", "the journal", "marie anne", "1999.5", "2e2", "yx"},
+      {"b", "peter christen", "journal the", "", "1e400", "abc", "   "},
+  };
+  LinkageProblem problem{Dataset("l", schema), Dataset("r", schema)};
+  for (size_t i = 0; i < rows.size(); ++i) {
+    problem.left.Add(Record{"l" + std::to_string(i),
+                            static_cast<int64_t>(i), rows[i]});
+    problem.right.Add(Record{"r" + std::to_string(i),
+                             static_cast<int64_t>(i), rows[rows.size() - 1 - i]});
+  }
+  ExpectProfilesMatchReference(problem);
+}
+
+TEST(RecordProfileTest, CustomFunctionSeesNormalisedText) {
+  SimilarityRegistry::Global().Register("test_first_two_bytes",
+                                        FirstTwoBytesAgree);
+  const Schema schema(
+      {{"title", "test_first_two_bytes"}, {"authors", "monge_elkan"}});
+  LinkageProblem problem{Dataset("l", schema), Dataset("r", schema)};
+  const std::vector<std::string> titles = {"Entity", "EN-tity", "en",
+                                           "", "e", "graph"};
+  for (size_t i = 0; i < titles.size(); ++i) {
+    problem.left.Add(Record{"l" + std::to_string(i),
+                            static_cast<int64_t>(i), {titles[i], "a b"}});
+    problem.right.Add(Record{"r" + std::to_string(i),
+                             static_cast<int64_t>(i),
+                             {titles[titles.size() - 1 - i], "b c"}});
+  }
+  ExpectProfilesMatchReference(problem);
+}
+
+TEST(RecordProfileTest, PreparedRecordsSurviveRelocation) {
+  // Profiles hold token offsets, not views: short (SSO) values move their
+  // bytes when the vector holding them grows, and scores must not care.
+  const Schema schema({{"title", "word_jaccard"},
+                       {"authors", "monge_elkan"},
+                       {"code", "qgram_jaccard"}});
+  auto comparator = PairComparator::Create(schema, schema);
+  ASSERT_TRUE(comparator.ok());
+  const Record a{"a", 0, {"ab cd", "j smith", "xy"}};
+  const Record b{"b", 1, {"cd ef", "smith j", "xz"}};
+  std::vector<PreparedValue> grown;
+  for (int round = 0; round < 40; ++round) {
+    const size_t at = grown.size();
+    grown.resize(at + schema.size());
+    comparator.value().PrepareRecord(
+        round % 2 == 0 ? a : b,
+        std::span<PreparedValue>(grown).subspan(at, schema.size()));
+  }
+  const size_t width = schema.size();
+  std::vector<double> features(width);
+  comparator.value().CompareProfiles(
+      std::span<const PreparedValue>(grown).first(width),
+      std::span<const PreparedValue>(grown).subspan(width, width), features);
+  EXPECT_EQ(features, comparator.value().Compare(a, b));
+  EXPECT_EQ(features, ReferenceFeatures(schema, a, b));
 }
 
 // ---------- AmbiguityAnalyzer ----------

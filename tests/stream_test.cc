@@ -329,6 +329,41 @@ TEST(StreamResolverTest, SnapshotRoundTripsAndContinuesIdentically) {
   EXPECT_EQ(restored.matches().size(), original.matches().size());
 }
 
+TEST(StreamResolverTest, RestoredProfilesCompareLikeTheOriginals) {
+  // Record profiles are derived state: a snapshot does not carry them and
+  // LoadSnapshot rebuilds them from the records. A restored resolver that
+  // keeps ingesting must compute the same feature rows, bit for bit, as
+  // one that never stopped — over every prepared form.
+  StreamResolverOptions options = FastResolverOptions();
+  options.schema = Schema{{"title", "qgram_jaccard"},
+                          {"authors", "monge_elkan"},
+                          {"venue", "word_jaccard"},
+                          {"year", "year"}};
+  const std::string dir = MakeStreamDir("snapshot_profiles");
+  const std::string path = dir + "/state.tera";
+
+  StreamResolver uninterrupted = MakeResolver(options);
+  ApplyRange(&uninterrupted, 1, 60);
+
+  StreamResolver first_half = MakeResolver(options);
+  ApplyRange(&first_half, 1, 23);
+  ASSERT_TRUE(first_half.SaveSnapshot(path).ok());
+  auto loaded = StreamResolver::LoadSnapshot(path, options);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  StreamResolver restored = std::move(loaded).value();
+  ApplyRange(&restored, 24, 60);
+
+  EXPECT_GT(restored.comparison_count(), first_half.comparison_count());
+  EXPECT_EQ(restored.comparison_count(), uninterrupted.comparison_count());
+  EXPECT_EQ(restored.pair_features(), uninterrupted.pair_features());
+  EXPECT_EQ(restored.StateDigest(), uninterrupted.StateDigest());
+  // The rows are the comparator's features of the compared pairs.
+  for (double value : restored.pair_features()) {
+    EXPECT_GE(value, 0.0);
+    EXPECT_LE(value, 1.0);
+  }
+}
+
 TEST(StreamResolverTest, SnapshotRejectsMismatchedOptions) {
   const std::string dir = MakeStreamDir("snapshot_options");
   const std::string path = dir + "/state.tera";

@@ -210,8 +210,12 @@ TEST(SweepCheckpointTest, CorruptionBeforeTheTailFails) {
 
 // ---------- checkpointed sweep resume ----------
 
-TEST(CheckpointedSweepTest, InterruptedResumeMatchesUninterruptedRun) {
-  const std::string path = TempJournalPath("resume");
+/// Runs a two-group sweep on `lanes` lanes, "kills" it at the start of
+/// its second (method, scenario) group, then resumes it from the journal
+/// and checks the resumed aggregate is bit-identical to an uninterrupted
+/// run. Returns the number of cells the killed sweep journaled.
+size_t InterruptAndResume(const std::string& journal_name, int lanes) {
+  const std::string path = TempJournalPath(journal_name);
   std::vector<TransferScenario> scenarios;
   scenarios.push_back(MakeScenario("A -> B", 300, 21));
   scenarios.push_back(MakeScenario("C -> D", 300, 22));
@@ -223,12 +227,13 @@ TEST(CheckpointedSweepTest, InterruptedResumeMatchesUninterruptedRun) {
   // Reference: the whole sweep, uninterrupted and unjournaled.
   auto reference =
       RunCheckpointedSweep(NaiveOnly(), scenarios, suite, base);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  ASSERT_EQ(reference.value().size(), 2u);
+  EXPECT_TRUE(reference.ok()) << reference.status().ToString();
+  if (!reference.ok()) return 0;
+  EXPECT_EQ(reference.value().size(), 2u);
 
-  // "Kill" the sweep at the start of its second (method, scenario)
-  // group: the cancellation token fires from the sweep's own heartbeat,
-  // exactly as an operator interrupt between cells would.
+  // The cancellation token fires from the sweep's own heartbeat, exactly
+  // as an operator interrupt would. Cells still running on other lanes
+  // are cancelled with it and stay out of the journal.
   CancellationToken token;
   int groups_started = 0;
   ExecutionContext sweep_context(
@@ -239,15 +244,32 @@ TEST(CheckpointedSweepTest, InterruptedResumeMatchesUninterruptedRun) {
   SweepOptions interrupted = base;
   interrupted.checkpoint_path = path;
   interrupted.base_options.context = &sweep_context;
+  interrupted.base_options.num_threads = lanes;
   auto killed =
       RunCheckpointedSweep(NaiveOnly(), scenarios, suite, interrupted);
   EXPECT_FALSE(killed.ok());
 
-  // The first group's cells (and only those) were journaled.
+  // Whatever was journaled is a set of completed cells, each equal to
+  // the reference's.
+  size_t journaled = 0;
   {
     auto journal = SweepCheckpoint::Open(path);
-    ASSERT_TRUE(journal.ok());
-    EXPECT_EQ(journal.value().size(), suite.size());
+    EXPECT_TRUE(journal.ok());
+    if (!journal.ok()) return 0;
+    journaled = journal.value().size();
+    for (const SweepCellRecord& record : journal.value().records()) {
+      EXPECT_TRUE(record.failure.empty()) << record.failure;
+      const size_t group = record.key.scenario == "A -> B" ? 0 : 1;
+      size_t cell = 0;
+      while (cell < suite.size() &&
+             suite[cell].name != record.key.classifier) {
+        ++cell;
+      }
+      EXPECT_LT(cell, suite.size());
+      if (cell >= suite.size()) continue;
+      EXPECT_EQ(record.quality.f_star,
+                reference.value()[group].per_classifier[cell].f_star);
+    }
   }
 
   // Resume from the journal: completed cells are reused, the rest run
@@ -256,8 +278,24 @@ TEST(CheckpointedSweepTest, InterruptedResumeMatchesUninterruptedRun) {
   resumed.checkpoint_path = path;
   auto resume =
       RunCheckpointedSweep(NaiveOnly(), scenarios, suite, resumed);
-  ASSERT_TRUE(resume.ok()) << resume.status().ToString();
-  ExpectSameResults(resume.value(), reference.value());
+  EXPECT_TRUE(resume.ok()) << resume.status().ToString();
+  if (resume.ok()) ExpectSameResults(resume.value(), reference.value());
+  return journaled;
+}
+
+TEST(CheckpointedSweepTest, InterruptedResumeMatchesUninterruptedRun) {
+  // One lane runs the groups in order, so the kill at the second group's
+  // start leaves exactly the first group's cells journaled.
+  EXPECT_EQ(InterruptAndResume("resume", /*lanes=*/1),
+            DefaultClassifierSuite().size());
+}
+
+TEST(CheckpointedSweepTest, InterruptedMultiLaneResumeMatchesUninterruptedRun) {
+  // Several lanes run both groups at once, so the kill may land anywhere
+  // inside the first group: the journaled prefix can hold any number of
+  // its cells, and resuming from it must still be bit-identical.
+  EXPECT_LE(InterruptAndResume("resume_multi", /*lanes=*/4),
+            DefaultClassifierSuite().size());
 }
 
 TEST(CheckpointedSweepTest, JournaledBudgetFailureIsNotReRun) {
