@@ -1,73 +1,30 @@
 #include "core/source_selection.h"
 
 #include <algorithm>
-
-#include "knn/kd_tree.h"
-#include "knn/neighbourhood.h"
-#include "linalg/vector_ops.h"
-#include "util/random.h"
+#include <numeric>
 
 namespace transer {
 
 Result<SourceScore> ScoreSourceDomain(const FeatureMatrix& source,
                                       const FeatureMatrix& target,
                                       const SourceSelectionOptions& options) {
-  if (source.num_features() != target.num_features()) {
-    return Status::InvalidArgument(
-        "candidate source does not share the target's feature space");
-  }
   if (source.empty() || target.empty()) {
     return Status::InvalidArgument("empty domain");
   }
-
-  const Matrix x_source = source.ToMatrix();
-  const Matrix x_target = target.ToMatrix();
-  const size_t m = source.num_features();
-  const KdTree source_tree(x_source);
-  const KdTree target_tree(x_target);
-
-  Rng rng(options.seed);
-  const size_t sample =
-      std::min(options.sample_size, source.size());
-  const std::vector<size_t> rows =
-      rng.SampleWithoutReplacement(source.size(), sample);
-
-  const size_t k_source = std::min(
-      options.transer.k, source.size() > 1 ? source.size() - 1 : size_t{1});
-  const size_t k_target = std::min(options.transer.k, target.size());
-
-  size_t transferable = 0;
-  double structural_total = 0.0;
-  std::vector<double> centroid_s, centroid_t;
-  for (size_t s : rows) {
-    const std::span<const double> row(x_source.Row(s), m);
-    const auto n_s =
-        source_tree.Query(row, k_source, static_cast<ptrdiff_t>(s));
-    const auto n_t = target_tree.Query(row, k_target);
-
-    size_t same_label = 0;
-    for (const auto& nb : n_s) {
-      if (source.label(nb.index) == source.label(s)) ++same_label;
-    }
-    const double sim_c =
-        n_s.empty() ? 0.0
-                    : static_cast<double>(same_label) /
-                          static_cast<double>(n_s.size());
-    NeighbourhoodCentroidInto(x_source, n_s, &centroid_s);
-    NeighbourhoodCentroidInto(x_target, n_t, &centroid_t);
-    const double sim_l = TransER::StructuralSimilarityFromDistance(
-        L2Distance(centroid_s, centroid_t), m);
-    structural_total += sim_l;
-    if (sim_c >= options.transer.t_c && sim_l >= options.transer.t_l) {
-      ++transferable;
-    }
-  }
-
+  TRANSER_ASSIGN_OR_RETURN(
+      const SelScores scores,
+      ScoreSelInstances(source, target, options.transer.k,
+                        options.transer.use_sim_v,
+                        ResolveKnnBackendOptions(TransferRunOptions{}, 0),
+                        ExecutionContext::Unlimited(), nullptr, 0));
+  const size_t kept =
+      scores.Select(options.transer, options.transer.t_c, options.transer.t_l)
+          .size();
+  const double n = static_cast<double>(source.size());
   SourceScore score;
-  score.transferable_fraction =
-      static_cast<double>(transferable) / static_cast<double>(sample);
+  score.transferable_fraction = static_cast<double>(kept) / n;
   score.mean_structural_similarity =
-      structural_total / static_cast<double>(sample);
+      std::accumulate(scores.sim_l.begin(), scores.sim_l.end(), 0.0) / n;
   return score;
 }
 

@@ -13,10 +13,10 @@ namespace transer {
 /// a target domain.
 struct SourceScore {
   size_t source_index = 0;
-  /// Fraction of (sampled) source instances passing SEL's filters — the
-  /// share of the source TransER could actually use.
+  /// Fraction of source instances TransER's SEL keeps at the options'
+  /// thresholds — exactly the share of the source TransER would use.
   double transferable_fraction = 0.0;
-  /// Mean structural similarity (Eq. 2) over the sampled instances,
+  /// Mean structural similarity (Eq. 2) over every source instance,
   /// independent of the thresholds.
   double mean_structural_similarity = 0.0;
 
@@ -28,16 +28,16 @@ struct SourceScore {
 
 /// \brief Options for multi-source selection.
 struct SourceSelectionOptions {
-  TransEROptions transer;      ///< thresholds used for the SEL probe
-  size_t sample_size = 500;    ///< source instances sampled per domain
-  uint64_t seed = 77;
+  TransEROptions transer;  ///< k, filters and thresholds of the SEL probe
 };
 
 /// Scores one candidate source domain against the target: how much of it
 /// is transferable under TransER's SEL criteria, and how similar its
-/// local structures are. Implements the paper's future-work item
-/// "choose the best source domain when multiple semantically related
-/// labelled data sets are available" (Section 6).
+/// local structures are. Every source row is scored with
+/// ScoreSelInstances (exact KD-tree, process-default threads).
+/// Implements the paper's future-work item "choose the best source
+/// domain when multiple semantically related labelled data sets are
+/// available" (Section 6).
 Result<SourceScore> ScoreSourceDomain(const FeatureMatrix& source,
                                       const FeatureMatrix& target,
                                       const SourceSelectionOptions& options);

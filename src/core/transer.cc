@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "knn/kd_tree.h"
 #include "knn/neighbourhood.h"
 #include "linalg/covariance.h"
 #include "linalg/vector_ops.h"
@@ -17,15 +16,6 @@
 namespace transer {
 
 namespace {
-
-/// Sample covariance of the neighbour rows (for the sim_v ablation).
-Matrix NeighbourhoodCovariance(const Matrix& points,
-                               const std::vector<Neighbour>& neighbours) {
-  std::vector<size_t> rows;
-  rows.reserve(neighbours.size());
-  for (const auto& nb : neighbours) rows.push_back(nb.index);
-  return SampleCovarianceOfRows(points, rows);
-}
 
 /// A snapshot may only replace training when it was taken by an
 /// equivalent run: same seed, same domain sizes, same feature schema.
@@ -72,42 +62,47 @@ double TransER::StructuralSimilarityFromDistance(double distance,
   return std::exp(-5.0 * normalized);
 }
 
-Result<std::vector<size_t>> TransER::SelectInstances(
-    const FeatureMatrix& source, const FeatureMatrix& target,
-    const TransferRunOptions& run_options) const {
-  std::optional<ExecutionContext> local_context;
-  const ExecutionContext& context =
-      ResolveExecutionContext(run_options, &local_context);
-  return SelectInstancesWithThresholds(
-      source, target, context, run_options.diagnostics,
-      ResolveKnnBackendOptions(run_options, run_options.num_threads),
-      options_.t_c, options_.t_l, run_options.num_threads);
+std::vector<size_t> SelScores::Select(const TransEROptions& options,
+                                      double t_c, double t_l) const {
+  TRANSER_CHECK(!options.use_sim_v || sim_v.size() == sim_c.size());
+  std::vector<size_t> kept;
+  kept.reserve(sim_c.size());
+  for (size_t s = 0; s < sim_c.size(); ++s) {
+    if (options.use_sim_c && sim_c[s] < t_c) continue;
+    if (options.use_sim_l && sim_l[s] < t_l) continue;
+    if (options.use_sim_v && sim_v[s] < options.t_v) continue;
+    kept.push_back(s);
+  }
+  return kept;
 }
 
-Result<std::vector<size_t>> TransER::SelectInstancesWithThresholds(
-    const FeatureMatrix& source, const FeatureMatrix& target,
-    const ExecutionContext& context, RunDiagnostics* diagnostics,
-    const KnnBackendOptions& knn, double t_c, double t_l,
-    int num_threads) const {
+Result<SelScores> ScoreSelInstances(const FeatureMatrix& source,
+                                    const FeatureMatrix& target, size_t k,
+                                    bool with_sim_v,
+                                    const KnnBackendOptions& knn,
+                                    const ExecutionContext& context,
+                                    RunDiagnostics* diagnostics,
+                                    int num_threads) {
   TRANSER_RETURN_IF_ERROR(context.Check("transer", diagnostics));
-
+  if (source.num_features() != target.num_features()) {
+    return Status::InvalidArgument(StrFormat(
+        "source and target feature spaces differ (%zu vs %zu features)",
+        source.num_features(), target.num_features()));
+  }
   const Matrix x_source = source.ToMatrix();
   const Matrix x_target = target.ToMatrix();
   const size_t m = source.num_features();
 
   // k is clamped so the self-excluded source query stays satisfiable.
   const size_t k_source =
-      std::min(options_.k, source.size() > 1 ? source.size() - 1 : size_t{1});
-  const size_t k_target = std::min(options_.k, target.size());
+      std::min(k, source.size() > 1 ? source.size() - 1 : size_t{1});
+  const size_t k_target = std::min(k, target.size());
   if (k_target == 0) {
     return Status::InvalidArgument("target domain is empty");
   }
 
   // The two neighbourhood indexes are the phase's dominant allocation;
   // build them against the budget so a tiny limit surfaces as 'ME' here.
-  // The backend is the caller's choice (TransferRunOptions::knn_backend):
-  // exact KD-tree by default, the approximate graph when SEL is asked to
-  // trade a little recall for sub-linear scans.
   TRANSER_ASSIGN_OR_RETURN(
       const std::unique_ptr<KnnBackend> source_index,
       CreateKnnBackend(x_source, knn, context, "transer", diagnostics));
@@ -116,8 +111,8 @@ Result<std::vector<size_t>> TransER::SelectInstancesWithThresholds(
       CreateKnnBackend(x_target, knn, context, "transer", diagnostics));
 
   // Both neighbourhoods of every source instance come from the batched
-  // query path (tiled kernels + per-thread scratch) up front: N_x^S with
-  // the self row excluded, N_x^T over the whole target.
+  // query path up front: N_x^S with the self row excluded, N_x^T over
+  // the whole target.
   ParallelOptions par;
   par.num_threads = num_threads;
   par.min_items_per_chunk = 8;
@@ -130,17 +125,16 @@ Result<std::vector<size_t>> TransER::SelectInstancesWithThresholds(
       const std::vector<std::vector<Neighbour>> target_neighbourhoods,
       target_index->QueryBatch(x_source, k_target, context, "transer", par));
 
-  // Per-instance filters are independent; chunks fill private index
-  // lists that concatenate in chunk order, so the selection matches the
-  // serial scan exactly at any thread count.
-  const ChunkPlan plan = PlanChunks(source.size(), par.min_items_per_chunk);
-  std::vector<std::vector<size_t>> chunk_selected(plan.num_chunks);
+  // Each instance writes only its own slots, so the scores are the
+  // serial scan's at any thread count.
+  SelScores scores;
+  scores.sim_c.resize(source.size());
+  scores.sim_l.resize(source.size());
+  if (with_sim_v) scores.sim_v.resize(source.size());
   TRANSER_RETURN_IF_ERROR(ParallelFor(
       context, "transer", source.size(),
-      [&](size_t begin, size_t end, size_t chunk) -> Status {
-        std::vector<size_t>& kept = chunk_selected[chunk];
-        // Centroid scratch lives across the chunk's instances — the
-        // sim_l filter allocates nothing per instance.
+      [&](size_t begin, size_t end, size_t /*chunk*/) -> Status {
+        // Centroid scratch lives across the chunk's instances.
         std::vector<double> centroid_s, centroid_t;
         for (size_t s = begin; s < end; ++s) {
           if (!InParallelRegion()) {
@@ -152,49 +146,47 @@ Result<std::vector<size_t>> TransER::SelectInstancesWithThresholds(
           const std::vector<Neighbour>& n_t = target_neighbourhoods[s];
 
           // Equation (1): fraction of source neighbours sharing the label.
-          if (options_.use_sim_c) {
-            size_t same_label = 0;
-            for (const auto& nb : n_s) {
-              if (source.label(nb.index) == source.label(s)) ++same_label;
-            }
-            const double sim_c = n_s.empty()
-                                     ? 0.0
-                                     : static_cast<double>(same_label) /
-                                           static_cast<double>(n_s.size());
-            if (sim_c < t_c) continue;
+          size_t same_label = 0;
+          for (const auto& nb : n_s) {
+            if (source.label(nb.index) == source.label(s)) ++same_label;
           }
+          scores.sim_c[s] = n_s.empty() ? 0.0
+                                        : static_cast<double>(same_label) /
+                                              static_cast<double>(n_s.size());
 
           // Equation (2): decayed distance between neighbourhood centroids.
-          if (options_.use_sim_l) {
-            NeighbourhoodCentroidInto(x_source, n_s, &centroid_s);
-            NeighbourhoodCentroidInto(x_target, n_t, &centroid_t);
-            const double sim_l = StructuralSimilarityFromDistance(
-                L2Distance(centroid_s, centroid_t), m);
-            if (sim_l < t_l) continue;
-          }
+          NeighbourhoodCentroidInto(x_source, n_s, &centroid_s);
+          NeighbourhoodCentroidInto(x_target, n_t, &centroid_t);
+          scores.sim_l[s] = TransER::StructuralSimilarityFromDistance(
+              L2Distance(centroid_s, centroid_t), m);
 
-          // Optional covariance filter (the "+ sim_v" ablation).
-          if (options_.use_sim_v) {
+          if (with_sim_v) {
             const Matrix cov_s = NeighbourhoodCovariance(x_source, n_s);
             const Matrix cov_t = NeighbourhoodCovariance(x_target, n_t);
-            const double sim_v =
+            scores.sim_v[s] =
                 std::exp(-5.0 * cov_s.Subtract(cov_t).FrobeniusNorm() /
                          static_cast<double>(m));
-            if (sim_v < options_.t_v) continue;
           }
-
-          kept.push_back(s);
         }
         return Status::OK();
       },
       par));
+  return scores;
+}
 
-  std::vector<size_t> selected;
-  selected.reserve(source.size());
-  for (const std::vector<size_t>& kept : chunk_selected) {
-    selected.insert(selected.end(), kept.begin(), kept.end());
-  }
-  return selected;
+Result<std::vector<size_t>> TransER::SelectInstances(
+    const FeatureMatrix& source, const FeatureMatrix& target,
+    const TransferRunOptions& run_options) const {
+  std::optional<ExecutionContext> local_context;
+  const ExecutionContext& context =
+      ResolveExecutionContext(run_options, &local_context);
+  TRANSER_ASSIGN_OR_RETURN(
+      const SelScores scores,
+      ScoreSelInstances(
+          source, target, options_.k, options_.use_sim_v,
+          ResolveKnnBackendOptions(run_options, run_options.num_threads),
+          context, run_options.diagnostics, run_options.num_threads));
+  return scores.Select(options_, options_.t_c, options_.t_l);
 }
 
 Result<std::vector<int>> TransER::RunWithReport(
@@ -259,15 +251,7 @@ Result<std::vector<int>> TransER::RunWithReport(
   // Domain profile: the per-feature target mean, stored in the snapshot
   // so the serving repository can run its SEL-style similarity probe
   // against incoming domains without the training data.
-  std::vector<double> target_centroid(x_target.cols(), 0.0);
-  if (x_target.rows() > 0) {
-    for (size_t r = 0; r < x_target.rows(); ++r) {
-      const double* row = x_target.Row(r);
-      for (size_t c = 0; c < x_target.cols(); ++c) target_centroid[c] += row[c];
-    }
-    const double inv = 1.0 / static_cast<double>(x_target.rows());
-    for (double& value : target_centroid) value *= inv;
-  }
+  const std::vector<double> target_centroid = ColumnMeans(x_target);
   snap.target_centroid = target_centroid;
   // Persists the current state atomically; a failed write degrades (the
   // run's answer is unaffected) rather than failing the run.
@@ -352,17 +336,21 @@ Result<std::vector<int>> TransER::RunWithReport(
       return all;
     };
     if (options_.use_sel) {
+      // Score once; each rung of the ladder only re-thresholds. The
+      // scores go out of scope before GEN starts.
+      TRANSER_ASSIGN_OR_RETURN(
+          const SelScores scores,
+          ScoreSelInstances(
+              source, target, options_.k, options_.use_sim_v,
+              ResolveKnnBackendOptions(run_options, run_options.num_threads),
+              context, budget_diag, run_options.num_threads));
       double t_c = options_.t_c;
       double t_l = options_.t_l;
       for (size_t step = 0;; ++step) {
-        auto selected = SelectInstancesWithThresholds(
-            source, target, context, budget_diag,
-            ResolveKnnBackendOptions(run_options, run_options.num_threads),
-            t_c, t_l, run_options.num_threads);
-        if (!selected.ok()) return selected.status();
-        transferred = source.Select(selected.value());
+        std::vector<size_t> selected = scores.Select(options_, t_c, t_l);
+        transferred = source.Select(selected);
         if (trainable(transferred)) {
-          kept_indices = std::move(selected).value();
+          kept_indices = std::move(selected);
           break;
         }
         if (step >= options_.max_sel_relax_steps) {

@@ -44,6 +44,38 @@ struct TransEROptions {
   double gen_relax_step = 0.1;
 };
 
+/// \brief SEL's per-source-instance scores (Algorithm 1), one entry per
+/// source row: Eq. 1's class-label confidence `sim_c` over the source
+/// neighbourhood N_x^S and Eq. 2's structural similarity `sim_l` between
+/// the N_x^S and N_x^T centroids; `sim_v` (the covariance filter of the
+/// "+ sim_v" ablation) only when it was asked for, else empty.
+struct SelScores {
+  std::vector<double> sim_c;
+  std::vector<double> sim_l;
+  std::vector<double> sim_v;
+
+  /// Ascending indices of the instances passing the filters `options`
+  /// enables, at thresholds t_c / t_l (and options.t_v). The degradation
+  /// ladder calls this once per rung on one set of scores.
+  std::vector<size_t> Select(const TransEROptions& options, double t_c,
+                             double t_l) const;
+};
+
+/// Scores every source instance for SEL. Both neighbourhood indexes are
+/// built through CreateKnnBackend (`knn`, budgeted against `context`) and
+/// scanned with QueryBatch; per-instance scores are computed over the
+/// parallel runtime (`num_threads` lanes, 0 = process default) and are
+/// bit-identical at any parallelism. k is clamped to the domain sizes.
+/// Returns InvalidArgument when the domains differ in width or the
+/// target is empty; budget outcomes go to `diagnostics` (may be null).
+Result<SelScores> ScoreSelInstances(const FeatureMatrix& source,
+                                    const FeatureMatrix& target, size_t k,
+                                    bool with_sim_v,
+                                    const KnnBackendOptions& knn,
+                                    const ExecutionContext& context,
+                                    RunDiagnostics* diagnostics,
+                                    int num_threads);
+
 /// \brief Phase-level introspection of one TransER run.
 struct TransERReport {
   size_t source_instances = 0;     ///< |X^S|
@@ -107,23 +139,6 @@ class TransER : public TransferMethod {
                                                  size_t num_features);
 
  private:
-  /// SEL with explicit thresholds — the degradation ladder re-runs the
-  /// selection under progressively relaxed t_c / t_l. Source instances
-  /// are filtered over the parallel runtime (`num_threads` lanes, 0 =
-  /// process default) with per-chunk index lists concatenated in chunk
-  /// order, so the selection is bit-identical at any parallelism.
-  /// The neighbourhood scans run on the index requested by `knn`
-  /// (exact KD-tree by default; the approximate graph trades a bounded
-  /// selection difference for sub-linear scans — see
-  /// TransferRunOptions::knn_backend). Workers observe `context` per
-  /// chunk; budget outcomes are recorded in `diagnostics` (may be
-  /// null).
-  Result<std::vector<size_t>> SelectInstancesWithThresholds(
-      const FeatureMatrix& source, const FeatureMatrix& target,
-      const ExecutionContext& context, RunDiagnostics* diagnostics,
-      const KnnBackendOptions& knn, double t_c, double t_l,
-      int num_threads) const;
-
   TransEROptions options_;
 };
 

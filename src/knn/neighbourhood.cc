@@ -2,6 +2,7 @@
 
 #include <span>
 
+#include "linalg/covariance.h"
 #include "linalg/kernels.h"
 
 namespace transer {
@@ -18,6 +19,14 @@ void NeighbourhoodCentroidInto(const Matrix& points,
   }
   kernels::ScaleInPlace(
       *centroid, 1.0 / static_cast<double>(neighbours.size()));
+}
+
+Matrix NeighbourhoodCovariance(const Matrix& points,
+                               const std::vector<Neighbour>& neighbours) {
+  std::vector<size_t> rows;
+  rows.reserve(neighbours.size());
+  for (const auto& nb : neighbours) rows.push_back(nb.index);
+  return SampleCovarianceOfRows(points, rows);
 }
 
 }  // namespace transer

@@ -3,7 +3,7 @@
 
 #include <vector>
 
-#include "knn/kd_tree.h"
+#include "knn/knn_backend.h"
 #include "linalg/matrix.h"
 
 namespace transer {
@@ -14,10 +14,15 @@ namespace transer {
 /// SEL computes two of these per source instance, so the scratch reuse
 /// removes the phase's dominant small-allocation churn. Accumulation is
 /// element-wise in neighbour order followed by one scale — bit-identical
-/// to the historical Mean/accumulate loop.
+/// to ColumnMeans over the same rows.
 void NeighbourhoodCentroidInto(const Matrix& points,
                                const std::vector<Neighbour>& neighbours,
                                std::vector<double>* centroid);
+
+/// Sample covariance of the neighbour rows of `points` (TransER's sim_v
+/// filter and LocIT's local distributions).
+Matrix NeighbourhoodCovariance(const Matrix& points,
+                               const std::vector<Neighbour>& neighbours);
 
 }  // namespace transer
 

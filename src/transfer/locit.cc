@@ -2,10 +2,10 @@
 
 #include <cmath>
 
-#include "knn/kd_tree.h"
-#include "linalg/covariance.h"
+#include "knn/neighbourhood.h"
 #include "linalg/vector_ops.h"
 #include "ml/linear_svm.h"
+#include "util/parallel.h"
 #include "util/random.h"
 
 namespace transer {
@@ -20,13 +20,9 @@ struct LocalStats {
 
 LocalStats NeighbourhoodStats(const Matrix& points,
                               const std::vector<Neighbour>& neighbours) {
-  std::vector<size_t> rows;
-  rows.reserve(neighbours.size());
-  for (const auto& nb : neighbours) rows.push_back(nb.index);
-  const Matrix local = points.SelectRows(rows);
   LocalStats stats;
-  stats.mean = ColumnMeans(local);
-  stats.covariance = SampleCovariance(local);
+  NeighbourhoodCentroidInto(points, neighbours, &stats.mean);
+  stats.covariance = NeighbourhoodCovariance(points, neighbours);
   return stats;
 }
 
@@ -40,6 +36,10 @@ std::vector<double> PairFeatures(const LocalStats& a, const LocalStats& b) {
 Result<std::vector<size_t>> LocItTransfer::SelectInstances(
     const FeatureMatrix& source, const FeatureMatrix& target,
     const TransferRunOptions& run_options) const {
+  if (source.num_features() != target.num_features()) {
+    return Status::InvalidArgument(
+        "source and target feature spaces differ");
+  }
   std::optional<ExecutionContext> local_context;
   const ExecutionContext& context =
       ResolveExecutionContext(run_options, &local_context);
@@ -47,39 +47,53 @@ Result<std::vector<size_t>> LocItTransfer::SelectInstances(
   TRANSER_RETURN_IF_ERROR(context.Check("locit", diagnostics));
   const Matrix x_source = source.ToMatrix();
   const Matrix x_target = target.ToMatrix();
-  const size_t k = std::min(options_.k, target.size() > 1
-                                            ? target.size() - 1
-                                            : size_t{1});
+  // k is clamped so the self-excluded queries stay satisfiable.
+  auto clamp_k = [&](size_t n) {
+    return std::min(options_.k, n > 1 ? n - 1 : size_t{1});
+  };
+  const size_t k = clamp_k(target.size());
+  const size_t source_k = clamp_k(source.size());
 
+  const KnnBackendOptions knn =
+      ResolveKnnBackendOptions(run_options, run_options.num_threads);
   TRANSER_ASSIGN_OR_RETURN(
-      const KdTree target_tree,
-      KdTree::Create(x_target, context, "locit", diagnostics));
+      const std::unique_ptr<KnnBackend> target_index,
+      CreateKnnBackend(x_target, knn, context, "locit", diagnostics));
   TRANSER_ASSIGN_OR_RETURN(
-      const KdTree source_tree,
-      KdTree::Create(x_source, context, "locit", diagnostics));
+      const std::unique_ptr<KnnBackend> source_index,
+      CreateKnnBackend(x_source, knn, context, "locit", diagnostics));
+  ParallelOptions par;
+  par.num_threads = run_options.num_threads;
+  par.min_items_per_chunk = 8;
+  par.diagnostics = diagnostics;
 
   // Local stats for every target instance.
+  TRANSER_ASSIGN_OR_RETURN(
+      const std::vector<std::vector<Neighbour>> target_neighbourhoods,
+      target_index->QueryBatch(x_target, k, context, "locit", par,
+                               /*skip_self=*/true));
   std::vector<LocalStats> target_stats(x_target.rows());
-  for (size_t i = 0; i < x_target.rows(); ++i) {
-    TRANSER_RETURN_IF_ERROR(context.Check("locit", diagnostics));
-    const auto neighbours = target_tree.Query(
-        std::span<const double>(x_target.Row(i), x_target.cols()), k,
-        static_cast<ptrdiff_t>(i));
-    target_stats[i] = NeighbourhoodStats(x_target, neighbours);
-  }
+  TRANSER_RETURN_IF_ERROR(ParallelFor(
+      context, "locit", x_target.rows(),
+      [&](size_t begin, size_t end, size_t /*chunk*/) -> Status {
+        for (size_t i = begin; i < end; ++i) {
+          target_stats[i] =
+              NeighbourhoodStats(x_target, target_neighbourhoods[i]);
+        }
+        return Status::OK();
+      },
+      par));
 
   // Supervised transferability training set from the target domain:
   // (x, nearest neighbour) -> positive, (x, random far point) -> negative.
+  // Neighbour lists are sorted by (distance, index), so the nearest
+  // neighbour is the first element of the k-NN list.
   Rng rng(run_options.seed + 29);
   std::vector<double> train_rows;
   std::vector<int> train_labels;
   for (size_t i = 0; i < x_target.rows(); ++i) {
-    TRANSER_RETURN_IF_ERROR(context.Check("locit", diagnostics));
-    const auto neighbours = target_tree.Query(
-        std::span<const double>(x_target.Row(i), x_target.cols()), 1,
-        static_cast<ptrdiff_t>(i));
-    if (neighbours.empty()) continue;
-    const size_t near_index = neighbours[0].index;
+    if (target_neighbourhoods[i].empty()) continue;
+    const size_t near_index = target_neighbourhoods[i][0].index;
     const auto positive = PairFeatures(target_stats[i],
                                        target_stats[near_index]);
     train_rows.insert(train_rows.end(), positive.begin(), positive.end());
@@ -108,23 +122,35 @@ Result<std::vector<size_t>> LocItTransfer::SelectInstances(
   TRANSER_RETURN_IF_ERROR(context.Check("locit", diagnostics));
 
   // Apply the transferability classifier to each source instance.
+  TRANSER_ASSIGN_OR_RETURN(
+      const std::vector<std::vector<Neighbour>> source_neighbourhoods,
+      source_index->QueryBatch(x_source, source_k, context, "locit", par,
+                               /*skip_self=*/true));
+  TRANSER_ASSIGN_OR_RETURN(
+      const std::vector<std::vector<Neighbour>> cross_neighbourhoods,
+      target_index->QueryBatch(x_source, k, context, "locit", par));
+  std::vector<char> keep(x_source.rows(), 0);
+  TRANSER_RETURN_IF_ERROR(ParallelFor(
+      context, "locit", x_source.rows(),
+      [&](size_t begin, size_t end, size_t /*chunk*/) -> Status {
+        for (size_t s = begin; s < end; ++s) {
+          if (!InParallelRegion()) {
+            context.ReportProgress(static_cast<double>(s) /
+                                   static_cast<double>(x_source.rows()));
+          }
+          const std::vector<Neighbour>& n_s = source_neighbourhoods[s];
+          const std::vector<Neighbour>& n_t = cross_neighbourhoods[s];
+          if (n_s.empty() || n_t.empty()) continue;
+          const auto features = PairFeatures(NeighbourhoodStats(x_source, n_s),
+                                             NeighbourhoodStats(x_target, n_t));
+          keep[s] = svm.Predict(features) == 1;
+        }
+        return Status::OK();
+      },
+      par));
   std::vector<size_t> selected;
-  const size_t source_k = std::min(options_.k, source.size() > 1
-                                                   ? source.size() - 1
-                                                   : size_t{1});
-  for (size_t s = 0; s < x_source.rows(); ++s) {
-    TRANSER_RETURN_IF_ERROR(context.Check("locit", diagnostics));
-    context.ReportProgress(static_cast<double>(s) /
-                           static_cast<double>(x_source.rows()));
-    const std::span<const double> row(x_source.Row(s), x_source.cols());
-    const auto source_neighbours =
-        source_tree.Query(row, source_k, static_cast<ptrdiff_t>(s));
-    const auto target_neighbours = target_tree.Query(row, k);
-    if (source_neighbours.empty() || target_neighbours.empty()) continue;
-    const LocalStats stats_s = NeighbourhoodStats(x_source, source_neighbours);
-    const LocalStats stats_t = NeighbourhoodStats(x_target, target_neighbours);
-    const auto features = PairFeatures(stats_s, stats_t);
-    if (svm.Predict(features) == 1) selected.push_back(s);
+  for (size_t s = 0; s < keep.size(); ++s) {
+    if (keep[s]) selected.push_back(s);
   }
   return selected;
 }
@@ -133,10 +159,6 @@ Result<std::vector<int>> LocItTransfer::Run(
     const FeatureMatrix& source, const FeatureMatrix& target,
     const ClassifierFactory& make_classifier,
     const TransferRunOptions& run_options) const {
-  if (source.num_features() != target.num_features()) {
-    return Status::InvalidArgument(
-        "source and target feature spaces differ");
-  }
   std::optional<ExecutionContext> local_context;
   const ExecutionContext& context =
       ResolveExecutionContext(run_options, &local_context);

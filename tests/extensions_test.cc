@@ -119,6 +119,28 @@ TEST(SourceSelectionTest, RejectsMismatchedFeatureSpaces) {
   EXPECT_FALSE(RankSourceDomains({}, target).ok());
 }
 
+TEST(SourceSelectionTest, TransferableFractionIsTransERSelectionShare) {
+  FeatureSpaceGenerator gen(FeatureSpaceSharedSpec{4, 40, 560});
+  const FeatureMatrix target = MakeDomain(0.75, 19, 700, &gen).WithoutLabels();
+  const FeatureMatrix source = MakeDomain(0.8, 20, 900, &gen);
+  for (bool use_sim_v : {false, true}) {
+    SourceSelectionOptions options;
+    options.transer.t_c = 0.8;
+    options.transer.t_l = 0.85;
+    options.transer.use_sim_v = use_sim_v;
+    auto score = ScoreSourceDomain(source, target, options);
+    ASSERT_TRUE(score.ok());
+    auto selected =
+        TransER(options.transer).SelectInstances(source, target, {});
+    ASSERT_TRUE(selected.ok());
+    ASSERT_GT(selected.value().size(), 0u);
+    ASSERT_LT(selected.value().size(), source.size());
+    EXPECT_DOUBLE_EQ(score.value().transferable_fraction *
+                         static_cast<double>(source.size()),
+                     static_cast<double>(selected.value().size()));
+  }
+}
+
 // ---------- active TransER ----------
 
 TEST(ActiveTransERTest, OracleQueriesRespectBudget) {

@@ -380,6 +380,58 @@ TEST(DegradationTest, EmptySelSelectionRelaxesThenFallsBack) {
   EXPECT_EQ(report.selected_instances, source.size());
 }
 
+TEST(DegradationTest, SelLadderScoresOnce) {
+  // The fall-back setup above, on the ANN backend at recall 1.0: every
+  // index build records one kAnnExactFallback, so the event count is the
+  // number of index builds — one per domain however many rungs run.
+  const FeatureMatrix source = ClusteredMatrix(20, 0.95, 0.05);
+  const FeatureMatrix target =
+      ClusteredMatrix(20, 0.55, 0.45).WithoutLabels();
+  TransEROptions options;
+  options.t_l = 0.99;
+  RunDiagnostics sink;
+  TransferRunOptions run;
+  run.knn_backend = KnnBackendKind::kAnnGraph;
+  run.knn_recall_target = 1.0;
+  run.diagnostics = &sink;
+  TransERReport report;
+  auto predicted = TransER(options).RunWithReport(
+      source, target, MakeLrFactory(), run, &report);
+  ASSERT_TRUE(predicted.ok()) << predicted.status().ToString();
+  EXPECT_EQ(report.diagnostics.CountKind(
+                DegradationKind::kSelThresholdRelaxed),
+            options.max_sel_relax_steps);
+  EXPECT_TRUE(report.diagnostics.HasKind(DegradationKind::kSelFallbackNaive));
+  EXPECT_EQ(sink.CountKind(DegradationKind::kAnnExactFallback), 2u);
+}
+
+TEST(DegradationTest, SelLadderRelaxesOnceThenSucceeds) {
+  // Target clusters shifted by 0.02: sim_l sits between 0.99 * 0.8 and
+  // 0.99, so the first rung keeps nothing and the second keeps the
+  // clusters.
+  const FeatureMatrix source = ClusteredMatrix(20, 0.95, 0.05);
+  const FeatureMatrix target =
+      ClusteredMatrix(20, 0.93, 0.07).WithoutLabels();
+  TransEROptions options;
+  options.t_l = 0.99;
+  TransERReport report;
+  auto predicted = TransER(options).RunWithReport(source, target,
+                                                  MakeLrFactory(), {}, &report);
+  ASSERT_TRUE(predicted.ok()) << predicted.status().ToString();
+  EXPECT_EQ(report.diagnostics.CountKind(
+                DegradationKind::kSelThresholdRelaxed),
+            1u);
+  EXPECT_FALSE(report.diagnostics.HasKind(DegradationKind::kSelFallbackNaive));
+
+  TransEROptions relaxed = options;
+  relaxed.t_c = options.t_c * options.sel_relax_factor;
+  relaxed.t_l = options.t_l * options.sel_relax_factor;
+  auto fresh = TransER(relaxed).SelectInstances(source, target, {});
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_GT(fresh.value().size(), 0u);
+  EXPECT_EQ(report.selected_instances, fresh.value().size());
+}
+
 TEST(DegradationTest, LowConfidenceGenLowersTpThenSkipsTcl) {
   const FeatureMatrix source = ClusteredMatrix(20, 0.9, 0.1);
   const FeatureMatrix target =

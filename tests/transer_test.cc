@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include "features/ambiguity.h"
 #include "ml/logistic_regression.h"
 #include "ml/random_forest.h"
+#include "util/random.h"
 #include "transfer/naive_transfer.h"
 
 namespace transer {
@@ -131,6 +134,142 @@ TEST(TransERSelTest, TimeLimitProducesTe) {
                                         pair.target.WithoutLabels(), run);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("(TE)"), std::string::npos);
+}
+
+TEST(TransERSelTest, MismatchedWidthsAreInvalidArgument) {
+  FeatureMatrix source({"a", "b", "c", "d"});
+  source.Append({0.9, 0.8, 0.9, 0.7}, kMatch);
+  source.Append({0.1, 0.2, 0.1, 0.3}, kNonMatch);
+  FeatureMatrix target({"a", "b", "c"});
+  target.Append({0.5, 0.5, 0.5}, kUnlabeled);
+  auto selected = TransER().SelectInstances(source, target, {});
+  ASSERT_FALSE(selected.ok());
+  EXPECT_EQ(selected.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---------- SEL scorer vs. a brute-force Algorithm 1 ----------
+
+/// Uniform features in [lo, hi)^3 with a noisy linear match rule — no
+/// clipping, so distances have no ties.
+FeatureMatrix UniformDomain(size_t n, double lo, double hi, uint64_t seed) {
+  Rng rng(seed);
+  FeatureMatrix m({"a", "b", "c"});
+  for (size_t i = 0; i < n; ++i) {
+    const std::vector<double> row = {rng.Uniform(lo, hi), rng.Uniform(lo, hi),
+                                     rng.Uniform(lo, hi)};
+    const bool match = (row[0] + row[1] + row[2] > 1.6) != rng.Bernoulli(0.1);
+    m.Append(row, match ? kMatch : kNonMatch);
+  }
+  return m;
+}
+
+/// The k nearest rows of `points` to `query` by plain Euclidean distance,
+/// ordered by (distance, index); row `skip` is excluded.
+std::vector<size_t> BruteForceNeighbours(const Matrix& points,
+                                         const double* query, size_t k,
+                                         ptrdiff_t skip) {
+  std::vector<std::pair<double, size_t>> all;
+  for (size_t j = 0; j < points.rows(); ++j) {
+    if (static_cast<ptrdiff_t>(j) == skip) continue;
+    double sum = 0.0;
+    for (size_t c = 0; c < points.cols(); ++c) {
+      const double d = points.Row(j)[c] - query[c];
+      sum += d * d;
+    }
+    all.emplace_back(std::sqrt(sum), j);
+  }
+  std::sort(all.begin(), all.end());
+  std::vector<size_t> rows;
+  for (size_t i = 0; i < std::min(k, all.size()); ++i) {
+    rows.push_back(all[i].second);
+  }
+  return rows;
+}
+
+/// Mean of the rows, summed in neighbour order.
+std::vector<double> Centroid(const Matrix& points,
+                             const std::vector<size_t>& rows) {
+  std::vector<double> mean(points.cols(), 0.0);
+  for (size_t r : rows) {
+    for (size_t c = 0; c < points.cols(); ++c) mean[c] += points.Row(r)[c];
+  }
+  const double inv = 1.0 / static_cast<double>(rows.size());
+  for (double& v : mean) v *= inv;
+  return mean;
+}
+
+/// Eq. 1 and Eq. 2 straight from the paper, per source instance x:
+///   sim_c(x) = |{x' in N_x^S : y' = y}| / |N_x^S|
+///   sim_l(x) = exp(-5 * ||mean(N_x^S) - mean(N_x^T)|| / sqrt(m))
+SelScores ReferenceSelScores(const FeatureMatrix& source,
+                             const FeatureMatrix& target, size_t k) {
+  const Matrix xs = source.ToMatrix();
+  const Matrix xt = target.ToMatrix();
+  SelScores scores;
+  for (size_t s = 0; s < source.size(); ++s) {
+    const auto n_s =
+        BruteForceNeighbours(xs, xs.Row(s), k, static_cast<ptrdiff_t>(s));
+    const auto n_t = BruteForceNeighbours(xt, xs.Row(s), k, -1);
+    size_t same = 0;
+    for (size_t r : n_s) same += source.label(r) == source.label(s) ? 1 : 0;
+    scores.sim_c.push_back(static_cast<double>(same) /
+                           static_cast<double>(n_s.size()));
+    const std::vector<double> c_s = Centroid(xs, n_s);
+    const std::vector<double> c_t = Centroid(xt, n_t);
+    double sum = 0.0;
+    for (size_t c = 0; c < c_s.size(); ++c) {
+      sum += (c_s[c] - c_t[c]) * (c_s[c] - c_t[c]);
+    }
+    const double m = static_cast<double>(c_s.size());
+    scores.sim_l.push_back(std::exp(-5.0 * (std::sqrt(sum) / std::sqrt(m))));
+  }
+  return scores;
+}
+
+TEST(SelScorerTest, MatchesBruteForceReferenceExactly) {
+  const FeatureMatrix source = UniformDomain(300, 0.0, 1.0, 161);
+  const FeatureMatrix target =
+      UniformDomain(250, 0.05, 1.0, 162).WithoutLabels();
+  const size_t k = 7;
+  const SelScores reference = ReferenceSelScores(source, target, k);
+  for (KnnBackendKind kind :
+       {KnnBackendKind::kKdTree, KnnBackendKind::kBruteForce}) {
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE(std::string(KnnBackendKindName(kind)) + " x" +
+                   std::to_string(threads));
+      KnnBackendOptions knn;
+      knn.kind = kind;
+      knn.num_threads = threads;
+      auto scores = ScoreSelInstances(source, target, k, false, knn,
+                                      ExecutionContext::Unlimited(), nullptr,
+                                      threads);
+      ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+      EXPECT_EQ(scores.value().sim_c, reference.sim_c);
+      EXPECT_EQ(scores.value().sim_l, reference.sim_l);
+      EXPECT_TRUE(scores.value().sim_v.empty());
+    }
+  }
+}
+
+TEST(SelScorerTest, SelectionIsTheThresholdedScores) {
+  const FeatureMatrix source = UniformDomain(300, 0.0, 1.0, 163);
+  const FeatureMatrix target =
+      UniformDomain(250, 0.05, 1.0, 164).WithoutLabels();
+  TransEROptions options;
+  options.t_c = 0.7;
+  options.t_l = 0.8;
+  const SelScores reference = ReferenceSelScores(source, target, options.k);
+  std::vector<size_t> expected;
+  for (size_t s = 0; s < source.size(); ++s) {
+    if (reference.sim_c[s] >= options.t_c &&
+        reference.sim_l[s] >= options.t_l) {
+      expected.push_back(s);
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  auto selected = TransER(options).SelectInstances(source, target, {});
+  ASSERT_TRUE(selected.ok());
+  EXPECT_EQ(selected.value(), expected);
 }
 
 // ---------- full run & report ----------

@@ -4,7 +4,10 @@
 
 #include "data/feature_space_generator.h"
 #include "eval/metrics.h"
+#include "knn/kd_tree.h"
 #include "linalg/covariance.h"
+#include "linalg/vector_ops.h"
+#include "ml/linear_svm.h"
 #include "ml/logistic_regression.h"
 #include "ml/random_forest.h"
 #include "transfer/coral.h"
@@ -14,6 +17,7 @@
 #include "transfer/locit.h"
 #include "transfer/naive_transfer.h"
 #include "transfer/tca.h"
+#include "util/random.h"
 
 namespace transer {
 namespace {
@@ -183,6 +187,107 @@ TEST(LocItTest, TimeLimitProducesTe) {
                           MakeLrFactory(), run);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("(TE)"), std::string::npos);
+}
+
+TEST(LocItTest, MismatchedWidthsAreInvalidArgument) {
+  const DomainPair pair = MakePair(-0.05, 200, 118);
+  FeatureMatrix narrow({"a", "b", "c"});
+  narrow.Append({0.5, 0.5, 0.5}, kUnlabeled);
+  narrow.Append({0.2, 0.4, 0.6}, kUnlabeled);
+  LocItTransfer locit;
+  auto selected = locit.SelectInstances(pair.source, narrow, {});
+  ASSERT_FALSE(selected.ok());
+  EXPECT_EQ(selected.status().code(), StatusCode::kInvalidArgument);
+  auto predicted = locit.Run(pair.source, narrow, MakeLrFactory(), {});
+  ASSERT_FALSE(predicted.ok());
+  EXPECT_EQ(predicted.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// LocIT's selection as serial per-row KD-tree queries: one k-NN and one
+/// 1-NN query per target row, two k-NN queries per source row.
+std::vector<size_t> ReferenceLocItSelection(const FeatureMatrix& source,
+                                            const FeatureMatrix& target,
+                                            size_t k_option, uint64_t seed) {
+  struct Stats {
+    std::vector<double> mean;
+    Matrix covariance;
+  };
+  auto stats_of = [](const Matrix& points, const std::vector<Neighbour>& nbs) {
+    std::vector<size_t> rows;
+    for (const auto& nb : nbs) rows.push_back(nb.index);
+    const Matrix local = points.SelectRows(rows);
+    return Stats{ColumnMeans(local), SampleCovariance(local)};
+  };
+  auto pair_features = [](const Stats& a, const Stats& b) {
+    return std::vector<double>{
+        L2Distance(a.mean, b.mean),
+        a.covariance.Subtract(b.covariance).FrobeniusNorm()};
+  };
+  const Matrix xs = source.ToMatrix();
+  const Matrix xt = target.ToMatrix();
+  const size_t k = std::min(k_option, xt.rows() - 1);
+  const size_t source_k = std::min(k_option, xs.rows() - 1);
+  const KdTree target_tree(xt);
+  const KdTree source_tree(xs);
+  auto row_of = [](const Matrix& x, size_t i) {
+    return std::span<const double>(x.Row(i), x.cols());
+  };
+
+  std::vector<Stats> target_stats;
+  for (size_t i = 0; i < xt.rows(); ++i) {
+    target_stats.push_back(stats_of(
+        xt, target_tree.Query(row_of(xt, i), k, static_cast<ptrdiff_t>(i))));
+  }
+  Rng rng(seed + 29);
+  std::vector<double> train_rows;
+  std::vector<int> train_labels;
+  for (size_t i = 0; i < xt.rows(); ++i) {
+    const auto nearest =
+        target_tree.Query(row_of(xt, i), 1, static_cast<ptrdiff_t>(i));
+    const auto positive =
+        pair_features(target_stats[i], target_stats[nearest[0].index]);
+    train_rows.insert(train_rows.end(), positive.begin(), positive.end());
+    train_labels.push_back(1);
+    size_t far = static_cast<size_t>(rng.NextUint64Below(xt.rows()));
+    if (far == i) far = (far + 1) % xt.rows();
+    const auto negative = pair_features(target_stats[i], target_stats[far]);
+    train_rows.insert(train_rows.end(), negative.begin(), negative.end());
+    train_labels.push_back(0);
+  }
+  LinearSvmOptions svm_options;
+  svm_options.seed = seed + 31;
+  LinearSvm svm(svm_options);
+  svm.Fit(Matrix::FromRowMajor(train_labels.size(), 2, train_rows),
+          train_labels);
+
+  std::vector<size_t> selected;
+  for (size_t s = 0; s < xs.rows(); ++s) {
+    const auto n_s =
+        source_tree.Query(row_of(xs, s), source_k, static_cast<ptrdiff_t>(s));
+    const auto n_t = target_tree.Query(row_of(xs, s), k);
+    if (svm.Predict(pair_features(stats_of(xs, n_s), stats_of(xt, n_t))) ==
+        1) {
+      selected.push_back(s);
+    }
+  }
+  return selected;
+}
+
+TEST(LocItTest, MatchesSerialKdTreeReference) {
+  const DomainPair pair = MakePair(-0.05, 400, 119);
+  const FeatureMatrix target = pair.target.WithoutLabels();
+  const LocItTransfer locit;
+  TransferRunOptions run;
+  run.seed = 7;
+  const std::vector<size_t> expected =
+      ReferenceLocItSelection(pair.source, target, LocItOptions{}.k, run.seed);
+  ASSERT_FALSE(expected.empty());
+  for (int threads : {1, 8}) {
+    run.num_threads = threads;
+    auto selected = locit.SelectInstances(pair.source, target, run);
+    ASSERT_TRUE(selected.ok()) << selected.status().ToString();
+    EXPECT_EQ(selected.value(), expected) << threads << " threads";
+  }
 }
 
 // ---------- embedding lift ----------
