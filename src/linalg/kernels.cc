@@ -106,7 +106,7 @@ inline double SquaredL2Impl(const double* a, const double* b, size_t n) {
 
 /// Four-lane dot product: element i feeds accumulator i mod 4. Every
 /// public reduction funnels through this one inline so all call sites —
-/// Dot, SquaredNorm, the pairwise tiles, the gather kernel — produce the
+/// Dot, SquaredNorm, the pairwise tiles — produce the
 /// same bits for the same rows.
 inline double DotImpl(const double* a, const double* b, size_t n) {
   double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
@@ -317,9 +317,39 @@ inline void PairwiseTileAvx2(const double* a, size_t i0, size_t i1,
     }
   }
   for (; i < i1; ++i) {
+    // A lone query row (single k-NN queries, KD-tree leaf scans): four
+    // point rows in flight share each query load, so four independent
+    // accumulator chains (drained exactly like DotImpl's) replace one
+    // latency-bound chain per row.
     const double* ai = a + i * dims;
     double* out_row = out + i * b_rows;
-    for (size_t j = j0; j < j1; ++j) {
+    size_t j = j0;
+    for (; j + 4 <= j1; j += 4) {
+      const double* bj0 = b + j * dims;
+      const double* bj1 = b + (j + 1) * dims;
+      const double* bj2 = b + (j + 2) * dims;
+      const double* bj3 = b + (j + 3) * dims;
+      __m256d c0 = _mm256_setzero_pd(), c1 = _mm256_setzero_pd();
+      __m256d c2 = _mm256_setzero_pd(), c3 = _mm256_setzero_pd();
+      size_t t = 0;
+      const size_t t4 = dims & ~size_t{3};
+      for (; t < t4; t += 4) {
+        const __m256d va = _mm256_loadu_pd(ai + t);
+        c0 = _mm256_add_pd(c0, _mm256_mul_pd(va, _mm256_loadu_pd(bj0 + t)));
+        c1 = _mm256_add_pd(c1, _mm256_mul_pd(va, _mm256_loadu_pd(bj1 + t)));
+        c2 = _mm256_add_pd(c2, _mm256_mul_pd(va, _mm256_loadu_pd(bj2 + t)));
+        c3 = _mm256_add_pd(c3, _mm256_mul_pd(va, _mm256_loadu_pd(bj3 + t)));
+      }
+      out_row[j] = PairDistSq(a_norms[i], b_norms[j],
+                              FinishDot(c0, ai, bj0, t, dims));
+      out_row[j + 1] = PairDistSq(a_norms[i], b_norms[j + 1],
+                                  FinishDot(c1, ai, bj1, t, dims));
+      out_row[j + 2] = PairDistSq(a_norms[i], b_norms[j + 2],
+                                  FinishDot(c2, ai, bj2, t, dims));
+      out_row[j + 3] = PairDistSq(a_norms[i], b_norms[j + 3],
+                                  FinishDot(c3, ai, bj3, t, dims));
+    }
+    for (; j < j1; ++j) {
       out_row[j] =
           PairDistSq(a_norms[i], b_norms[j], DotImpl(ai, b + j * dims, dims));
     }
@@ -480,50 +510,6 @@ void PairwiseSquaredL2(const double* a, size_t a_rows, const double* a_norms,
       }
 #endif
     }
-  }
-}
-
-void SquaredL2Gather(std::span<const double> query, double query_norm,
-                     const double* base, size_t dims,
-                     std::span<const size_t> rows, const double* norms,
-                     double* out) {
-  TRANSER_CHECK_EQ(query.size(), dims);
-  const double* q = query.data();
-  size_t r = 0;
-#if TRANSER_KERNELS_AVX2
-  // Four gathered rows in flight, sharing each query load: four
-  // independent accumulator chains (drained exactly like DotImpl's)
-  // instead of one latency-bound chain per row.
-  for (; r + 4 <= rows.size(); r += 4) {
-    const double* p0 = base + rows[r] * dims;
-    const double* p1 = base + rows[r + 1] * dims;
-    const double* p2 = base + rows[r + 2] * dims;
-    const double* p3 = base + rows[r + 3] * dims;
-    __m256d c0 = _mm256_setzero_pd(), c1 = _mm256_setzero_pd();
-    __m256d c2 = _mm256_setzero_pd(), c3 = _mm256_setzero_pd();
-    size_t t = 0;
-    const size_t t4 = dims & ~size_t{3};
-    for (; t < t4; t += 4) {
-      const __m256d vq = _mm256_loadu_pd(q + t);
-      c0 = _mm256_add_pd(c0, _mm256_mul_pd(vq, _mm256_loadu_pd(p0 + t)));
-      c1 = _mm256_add_pd(c1, _mm256_mul_pd(vq, _mm256_loadu_pd(p1 + t)));
-      c2 = _mm256_add_pd(c2, _mm256_mul_pd(vq, _mm256_loadu_pd(p2 + t)));
-      c3 = _mm256_add_pd(c3, _mm256_mul_pd(vq, _mm256_loadu_pd(p3 + t)));
-    }
-    out[r] = PairDistSq(query_norm, norms[rows[r]],
-                        FinishDot(c0, q, p0, t, dims));
-    out[r + 1] = PairDistSq(query_norm, norms[rows[r + 1]],
-                            FinishDot(c1, q, p1, t, dims));
-    out[r + 2] = PairDistSq(query_norm, norms[rows[r + 2]],
-                            FinishDot(c2, q, p2, t, dims));
-    out[r + 3] = PairDistSq(query_norm, norms[rows[r + 3]],
-                            FinishDot(c3, q, p3, t, dims));
-  }
-#endif
-  for (; r < rows.size(); ++r) {
-    const size_t row = rows[r];
-    out[r] = PairDistSq(query_norm, norms[row],
-                        DotImpl(q, base + row * dims, dims));
   }
 }
 

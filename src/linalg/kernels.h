@@ -81,17 +81,6 @@ void PairwiseSquaredL2(const double* a, size_t a_rows, const double* a_norms,
 double PairSquaredL2(std::span<const double> a, double a_norm,
                      std::span<const double> b, double b_norm);
 
-/// \brief Gather flavour of the pairwise kernel for KD-tree leaves.
-///
-/// For each of the `rows.size()` scattered row ids, writes
-/// out[r] = PairSquaredL2(query, query_norm, row rows[r], norms[rows[r]])
-/// where rows live at `base + rows[r] * dims`. Bit-identical to the
-/// tiled kernel on the same (query, row) pair.
-void SquaredL2Gather(std::span<const double> query, double query_norm,
-                     const double* base, size_t dims,
-                     std::span<const size_t> rows, const double* norms,
-                     double* out);
-
 // ---------------------------------------------------------------------
 // Sparse kernels
 // ---------------------------------------------------------------------

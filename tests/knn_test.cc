@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "knn/brute_force.h"
 #include "knn/kd_tree.h"
@@ -74,36 +75,93 @@ TEST(KdTreeTest, HandlesDuplicatePoints) {
   for (const auto& nb : result) EXPECT_DOUBLE_EQ(nb.distance, 0.0);
 }
 
-// Property: KD-tree agrees with brute force on sizes, dims and k.
+// Property: KD-tree agrees with brute force on sizes, dims and k. A
+// non-zero `levels` quantises every coordinate to j / levels, so many
+// rows coincide and many distances tie: the (distance, index) order must
+// still match bit for bit.
 struct KnnCase {
   size_t n;
   size_t dims;
   size_t k;
   uint64_t seed;
+  size_t levels = 0;
 };
+
+/// Coordinate draw of a sweep case: continuous, or quantised to
+/// j / levels for j in [0, levels].
+double SweepValue(const KnnCase& param, Rng& rng) {
+  if (param.levels == 0) return rng.NextDouble();
+  return static_cast<double>(rng.NextUint64Below(param.levels + 1)) /
+         static_cast<double>(param.levels);
+}
+
+Matrix SweepPoints(const KnnCase& param) {
+  Rng rng(param.seed);
+  Matrix points(param.n, param.dims);
+  for (size_t i = 0; i < param.n; ++i) {
+    for (size_t d = 0; d < param.dims; ++d) {
+      points(i, d) = SweepValue(param, rng);
+    }
+  }
+  return points;
+}
+
+void ExpectSameNeighbours(const std::vector<Neighbour>& actual,
+                          const std::vector<Neighbour>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].index, expected[i].index) << "rank " << i;
+    EXPECT_EQ(actual[i].distance, expected[i].distance) << "rank " << i;
+  }
+}
 
 class KdTreeEquivalenceTest : public ::testing::TestWithParam<KnnCase> {};
 
 TEST_P(KdTreeEquivalenceTest, MatchesBruteForce) {
   const KnnCase param = GetParam();
-  Matrix points = RandomPoints(param.n, param.dims, param.seed);
+  const Matrix points = SweepPoints(param);
   KdTree tree(points);
   BruteForceKnn brute(points);
   Rng rng(param.seed + 1);
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<double> query(param.dims);
-    for (double& v : query) v = rng.NextDouble();
+    for (double& v : query) v = SweepValue(param, rng);
     const ptrdiff_t skip =
         trial % 3 == 0 ? static_cast<ptrdiff_t>(
                              rng.NextUint64Below(param.n))
                        : -1;
-    const auto expected = brute.Query(query, param.k, skip);
-    const auto actual = tree.Query(query, param.k, skip);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (size_t i = 0; i < actual.size(); ++i) {
-      // Ties can legitimately reorder equidistant points; compare
-      // distances, which must be identical position by position.
-      EXPECT_NEAR(actual[i].distance, expected[i].distance, 1e-12);
+    // Both backends rank by (distance, index) over the same per-pair
+    // kernel, so even tied answers agree exactly.
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ExpectSameNeighbours(tree.Query(query, param.k, skip),
+                         brute.Query(query, param.k, skip));
+  }
+}
+
+TEST_P(KdTreeEquivalenceTest, SelfQueriesMatchBruteForceExactly) {
+  const KnnCase param = GetParam();
+  const Matrix points = SweepPoints(param);
+  const KdTree tree(points);
+  const BruteForceKnn brute(points);
+  std::vector<std::vector<Neighbour>> expected(param.n);
+  for (size_t i = 0; i < param.n; ++i) {
+    const std::span<const double> row(points.Row(i), param.dims);
+    expected[i] = brute.Query(row, param.k, static_cast<ptrdiff_t>(i));
+    SCOPED_TRACE("row " + std::to_string(i));
+    ExpectSameNeighbours(tree.Query(row, param.k, static_cast<ptrdiff_t>(i)),
+                         expected[i]);
+  }
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ParallelOptions options;
+    options.num_threads = threads;
+    const auto batch =
+        tree.QueryBatch(points, param.k, ExecutionContext::Unlimited(),
+                        "test", options, /*skip_self=*/true);
+    ASSERT_TRUE(batch.ok());
+    for (size_t i = 0; i < param.n; ++i) {
+      SCOPED_TRACE("row " + std::to_string(i));
+      ExpectSameNeighbours(batch.value()[i], expected[i]);
     }
   }
 }
@@ -112,7 +170,9 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, KdTreeEquivalenceTest,
     ::testing::Values(KnnCase{50, 2, 5, 41}, KnnCase{500, 4, 7, 42},
                       KnnCase{1000, 8, 3, 43}, KnnCase{300, 11, 10, 44},
-                      KnnCase{17, 1, 17, 45}, KnnCase{2000, 5, 1, 46}));
+                      KnnCase{17, 1, 17, 45}, KnnCase{2000, 5, 1, 46},
+                      KnnCase{4000, 4, 7, 7, 10},
+                      KnnCase{4000, 4, 7, 7, 20}));
 
 // Reference for the bounded-heap Query: compute every distance with the
 // same pairwise kernel, sort all n by (distance, index), take k. The

@@ -163,6 +163,31 @@ FeatureMatrix UniformDomain(size_t n, double lo, double hi, uint64_t seed) {
   return m;
 }
 
+/// ER-like features in [0, 1]^4: every coordinate quantised to
+/// j / levels and every fourth row a copy of an earlier one, so
+/// neighbourhoods are full of exact distance ties and duplicate rows.
+FeatureMatrix QuantisedDomain(size_t n, size_t levels, uint64_t seed) {
+  Rng rng(seed);
+  FeatureMatrix m({"a", "b", "c", "d"});
+  std::vector<std::vector<double>> rows;
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<double> row(4);
+    if (i % 4 == 3) {
+      row = rows[rng.NextUint64Below(i)];
+    } else {
+      for (double& v : row) {
+        v = static_cast<double>(rng.NextUint64Below(levels + 1)) /
+            static_cast<double>(levels);
+      }
+    }
+    const bool match =
+        (row[0] + row[1] + row[2] + row[3] > 2.0) != rng.Bernoulli(0.1);
+    rows.push_back(row);
+    m.Append(row, match ? kMatch : kNonMatch);
+  }
+  return m;
+}
+
 /// The k nearest rows of `points` to `query` by plain Euclidean distance,
 /// ordered by (distance, index); row `skip` is excluded.
 std::vector<size_t> BruteForceNeighbours(const Matrix& points,
@@ -248,6 +273,31 @@ TEST(SelScorerTest, MatchesBruteForceReferenceExactly) {
       EXPECT_EQ(scores.value().sim_l, reference.sim_l);
       EXPECT_TRUE(scores.value().sim_v.empty());
     }
+  }
+
+  // ER-like input: quantised features with duplicate rows. The paper
+  // reference's direct-difference distances may order exact ties
+  // differently from the shared ‖a‖²+‖b‖²−2a·b kernel, so here the
+  // brute-force backend is the reference, and the kd-tree must match it
+  // bit for bit at every thread count.
+  const FeatureMatrix er_source = QuantisedDomain(4000, 10, 165);
+  const FeatureMatrix er_target =
+      QuantisedDomain(3000, 10, 166).WithoutLabels();
+  KnnBackendOptions brute;
+  brute.kind = KnnBackendKind::kBruteForce;
+  auto expected = ScoreSelInstances(er_source, er_target, k, false, brute,
+                                    ExecutionContext::Unlimited(), nullptr, 1);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE("quantised kd_tree x" + std::to_string(threads));
+    KnnBackendOptions knn;
+    knn.num_threads = threads;
+    auto scores = ScoreSelInstances(er_source, er_target, k, false, knn,
+                                    ExecutionContext::Unlimited(), nullptr,
+                                    threads);
+    ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+    EXPECT_EQ(scores.value().sim_c, expected.value().sim_c);
+    EXPECT_EQ(scores.value().sim_l, expected.value().sim_l);
   }
 }
 
