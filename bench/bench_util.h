@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "util/build_info.h"
+#include "util/json.h"
 #include "util/parallel.h"
 #include "util/string_util.h"
 
@@ -140,25 +141,23 @@ class BenchReport {
   /// Writes BENCH_<name>.json. A write failure warns on stderr but never
   /// fails the bench — the JSON sidecar is an artefact, not the result.
   void Write() const {
+    json::Writer writer;
+    writer.BeginObject().Key("name").String(name_).Key("threads").Int(threads_)
+        .Key("stages").BeginArray();
+    for (const auto& [stage, seconds] : stages_) {
+      writer.BeginObject().Key("stage").String(stage)
+          .Key("seconds").Double(seconds).EndObject();
+    }
+    writer.EndArray().Key("extra").BeginObject();
+    for (const auto& [key, value] : extras_) writer.Key(key).Double(value);
+    writer.EndObject().EndObject();
     const std::string path = "BENCH_" + name_ + ".json";
     std::FILE* out = std::fopen(path.c_str(), "w");
     if (out == nullptr) {
       std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
       return;
     }
-    std::fprintf(out, "{\"name\":\"%s\",\"threads\":%d,\"stages\":[",
-                 name_.c_str(), threads_);
-    for (size_t i = 0; i < stages_.size(); ++i) {
-      std::fprintf(out, "%s{\"stage\":\"%s\",\"seconds\":%.6g}",
-                   i == 0 ? "" : ",", stages_[i].first.c_str(),
-                   stages_[i].second);
-    }
-    std::fprintf(out, "],\"extra\":{");
-    for (size_t i = 0; i < extras_.size(); ++i) {
-      std::fprintf(out, "%s\"%s\":%.6g", i == 0 ? "" : ",",
-                   extras_[i].first.c_str(), extras_[i].second);
-    }
-    std::fprintf(out, "}}\n");
+    std::fprintf(out, "%s\n", writer.str().c_str());
     std::fclose(out);
     std::printf("wrote %s\n", path.c_str());
   }

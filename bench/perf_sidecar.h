@@ -2,11 +2,14 @@
 #define TRANSER_BENCH_PERF_SIDECAR_H_
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "util/string_util.h"
+#include "util/json.h"
 
 namespace transer {
 namespace bench {
@@ -45,170 +48,74 @@ struct PerfSidecar {
   }
 };
 
-namespace sidecar_internal {
-
-/// Same minimal field extraction as the sweep journal: finds `"name":`
-/// in a flat one-line object and returns the raw value token. Only ever
-/// reads what WritePerfSidecar produced.
-inline bool ExtractRaw(const std::string& line, const std::string& name,
-                       std::string* out) {
-  const std::string needle = "\"" + name + "\":";
-  const size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  size_t pos = at + needle.size();
-  if (pos >= line.size()) return false;
-  if (line[pos] == '"') {
-    ++pos;
-    const size_t end = line.find('"', pos);
-    if (end == std::string::npos) return false;
-    *out = line.substr(pos, end - pos);
-    return true;
-  }
-  const size_t end = line.find_first_of(",}", pos);
-  if (end == std::string::npos || end == pos) return false;
-  *out = line.substr(pos, end - pos);
-  return true;
-}
-
-inline bool ExtractDouble(const std::string& line, const std::string& name,
-                          double* out) {
-  std::string raw;
-  return ExtractRaw(line, name, &raw) && ParseDouble(raw, out);
-}
-
-inline bool ExtractInt(const std::string& line, const std::string& name,
-                       int64_t* out) {
-  std::string raw;
-  return ExtractRaw(line, name, &raw) && ParseInt64(raw, out);
-}
-
-}  // namespace sidecar_internal
-
-/// Writes the sidecar as line-structured JSON: a header line, one line
-/// per entry, one line of extras. Line-per-record keeps the reader a
-/// trivial scan (the sweep-journal idiom) while the whole file is still
-/// a single valid JSON object. Returns false (with a message on stderr)
-/// if the file cannot be written.
+/// Writes the sidecar as one compact JSON object. Returns false (with a
+/// message on stderr) if the file cannot be written.
 inline bool WritePerfSidecar(const std::string& path,
                              const PerfSidecar& sidecar) {
+  json::Writer writer;
+  writer.BeginObject().Key("schema").String(sidecar.schema)
+      .Key("version").Int(sidecar.version).Key("threads").Int(sidecar.threads)
+      .Key("entries").BeginArray();
+  for (const PerfEntry& entry : sidecar.entries) {
+    writer.BeginObject().Key("name").String(entry.name)
+        .Key("threads").Int(entry.threads)
+        .Key("ns_per_op").Double(entry.ns_per_op)
+        .Key("ops_per_sec").Double(entry.ops_per_sec).EndObject();
+  }
+  writer.EndArray().Key("extra").BeginObject();
+  for (const auto& [key, value] : sidecar.extras) writer.Key(key).Double(value);
+  writer.EndObject().EndObject();
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return false;
   }
-  std::fprintf(out, "{\"schema\":\"%s\",\"version\":%d,\"threads\":%d,\n",
-               sidecar.schema.c_str(), sidecar.version, sidecar.threads);
-  std::fprintf(out, "\"entries\":[\n");
-  for (size_t i = 0; i < sidecar.entries.size(); ++i) {
-    const PerfEntry& entry = sidecar.entries[i];
-    std::fprintf(out,
-                 "{\"name\":\"%s\",\"threads\":%d,\"ns_per_op\":%.6g,"
-                 "\"ops_per_sec\":%.6g}%s\n",
-                 entry.name.c_str(), entry.threads, entry.ns_per_op,
-                 entry.ops_per_sec, i + 1 == sidecar.entries.size() ? "" : ",");
-  }
-  std::fprintf(out, "],\n\"extra\":{");
-  for (size_t i = 0; i < sidecar.extras.size(); ++i) {
-    std::fprintf(out, "%s\"%s\":%.6g", i == 0 ? "" : ",",
-                 sidecar.extras[i].first.c_str(), sidecar.extras[i].second);
-  }
-  std::fprintf(out, "}}\n");
+  std::fprintf(out, "%s\n", writer.str().c_str());
   std::fclose(out);
   return true;
 }
 
-/// Reads a sidecar previously written by WritePerfSidecar. On any
-/// malformation (missing header, bad entry line, unreadable file) the
-/// error string names the problem and false is returned; schema/version
-/// acceptance is the caller's decision so perf_compare can report both
-/// identities in its message.
+/// Decodes a sidecar document. Any JSON error or missing/mistyped field
+/// is an error; schema/version acceptance is the caller's decision.
+inline Status DecodePerfSidecar(std::string_view text, PerfSidecar* sidecar) {
+  TRANSER_ASSIGN_OR_RETURN(const json::Value doc, json::Parse(text));
+  TRANSER_RETURN_IF_ERROR(doc.Get("schema", &sidecar->schema));
+  TRANSER_RETURN_IF_ERROR(doc.Get("version", &sidecar->version));
+  TRANSER_RETURN_IF_ERROR(doc.Get("threads", &sidecar->threads));
+  TRANSER_ASSIGN_OR_RETURN(
+      const json::Value* entries,
+      doc.Member("entries", json::Value::Type::kArray));
+  TRANSER_ASSIGN_OR_RETURN(const json::Value* extras,
+                           doc.Member("extra", json::Value::Type::kObject));
+  sidecar->entries.clear();
+  for (const json::Value& item : entries->items) {
+    PerfEntry entry;
+    TRANSER_RETURN_IF_ERROR(item.Get("name", &entry.name));
+    TRANSER_RETURN_IF_ERROR(item.Get("threads", &entry.threads));
+    TRANSER_RETURN_IF_ERROR(item.Get("ns_per_op", &entry.ns_per_op));
+    TRANSER_RETURN_IF_ERROR(item.Get("ops_per_sec", &entry.ops_per_sec));
+    sidecar->entries.push_back(std::move(entry));
+  }
+  sidecar->extras.clear();
+  for (size_t i = 0; i < extras->keys.size(); ++i) {
+    double value = 0.0;
+    TRANSER_RETURN_IF_ERROR(extras->items[i].As(&value));
+    sidecar->extras.emplace_back(extras->keys[i], value);
+  }
+  return Status::OK();
+}
+
+/// Reads and decodes the sidecar at `path`. On failure the error string
+/// names the file and the problem, and false is returned.
 inline bool ReadPerfSidecar(const std::string& path, PerfSidecar* sidecar,
                             std::string* error) {
-  std::FILE* in = std::fopen(path.c_str(), "r");
-  if (in == nullptr) {
-    *error = "cannot open " + path;
-    return false;
-  }
-  std::string content;
-  char buffer[4096];
-  size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), in)) > 0) {
-    content.append(buffer, got);
-  }
-  std::fclose(in);
-
-  sidecar->entries.clear();
-  sidecar->extras.clear();
-  bool saw_header = false;
-  size_t start = 0;
-  while (start <= content.size()) {
-    const size_t newline = content.find('\n', start);
-    const std::string line =
-        content.substr(start, newline == std::string::npos
-                                  ? std::string::npos
-                                  : newline - start);
-    start = newline == std::string::npos ? content.size() + 1 : newline + 1;
-    if (line.empty() || line == "],") continue;
-    if (line.find("\"schema\"") != std::string::npos) {
-      int64_t version = 0;
-      int64_t threads = 0;
-      if (!sidecar_internal::ExtractRaw(line, "schema", &sidecar->schema) ||
-          !sidecar_internal::ExtractInt(line, "version", &version) ||
-          !sidecar_internal::ExtractInt(line, "threads", &threads)) {
-        *error = path + ": malformed header line";
-        return false;
-      }
-      sidecar->version = static_cast<int>(version);
-      sidecar->threads = static_cast<int>(threads);
-      saw_header = true;
-      continue;
-    }
-    if (line.rfind("{\"name\"", 0) == 0) {
-      PerfEntry entry;
-      int64_t threads = 0;
-      if (!sidecar_internal::ExtractRaw(line, "name", &entry.name) ||
-          !sidecar_internal::ExtractInt(line, "threads", &threads) ||
-          !sidecar_internal::ExtractDouble(line, "ns_per_op",
-                                           &entry.ns_per_op) ||
-          !sidecar_internal::ExtractDouble(line, "ops_per_sec",
-                                           &entry.ops_per_sec)) {
-        *error = path + ": malformed entry line: " + line;
-        return false;
-      }
-      entry.threads = static_cast<int>(threads);
-      sidecar->entries.push_back(std::move(entry));
-      continue;
-    }
-    if (line.find("\"extra\"") != std::string::npos) {
-      // Scan `"key":value` pairs inside the extras object.
-      size_t pos = line.find('{');
-      while (pos != std::string::npos) {
-        const size_t key_start = line.find('"', pos + 1);
-        if (key_start == std::string::npos) break;
-        const size_t key_end = line.find('"', key_start + 1);
-        if (key_end == std::string::npos) break;
-        const size_t colon = line.find(':', key_end);
-        if (colon == std::string::npos) break;
-        const size_t value_end = line.find_first_of(",}", colon + 1);
-        if (value_end == std::string::npos) break;
-        double value = 0.0;
-        if (!ParseDouble(line.substr(colon + 1, value_end - colon - 1),
-                         &value)) {
-          *error = path + ": malformed extras line";
-          return false;
-        }
-        sidecar->extras.emplace_back(
-            line.substr(key_start + 1, key_end - key_start - 1), value);
-        pos = line[value_end] == ',' ? value_end : std::string::npos;
-      }
-      continue;
-    }
-  }
-  if (!saw_header) {
-    *error = path + ": missing schema header";
-    return false;
-  }
-  return true;
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream content;
+  content << in.rdbuf();
+  const Status status = in ? DecodePerfSidecar(content.str(), sidecar)
+                           : Status::IoError("cannot open file");
+  if (!status.ok()) *error = path + ": " + status.message();
+  return status.ok();
 }
 
 }  // namespace bench

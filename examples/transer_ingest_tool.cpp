@@ -59,6 +59,7 @@
 #include "bench/perf_sidecar.h"
 #include "data/record.h"
 #include "stream/stream_ingestor.h"
+#include "util/json.h"
 #include "util/string_util.h"
 
 namespace transer {
@@ -335,26 +336,27 @@ int Run(int argc, char** argv) {
 
   // Telemetry line first; the digest line below must stay LAST — the
   // crash matrix parses the final stdout line.
+  json::Writer telemetry;
+  telemetry.BeginObject().Key("schema").String("transer.stream_ingest")
+      .Key("segments").Uint(stats.segments)
+      .Key("live_bytes").Uint(stats.live_bytes)
+      .Key("first_segment").Uint(stats.first_segment)
+      .Key("active_segment").Uint(stats.active_segment)
+      .Key("retention_stalls").Uint(stats.retention_stalls)
+      .Key("segments_dropped").Uint(stats.segments_dropped)
+      .Key("snapshots").Uint(ingestor.snapshot_count())
+      .Key("writers").Uint(writers)
+      .Key("ingest_seconds").Double(ingest_seconds);
   const AnnGraph* graph = resolver.knn().graph();
-  std::string knn_telemetry = "\"knn_backend\":\"kd_tree_tail\"";
+  telemetry.Key("knn_backend")
+      .String(graph != nullptr ? "ann_graph" : "kd_tree_tail");
   if (graph != nullptr) {
-    knn_telemetry = StrFormat(
-        "\"knn_backend\":\"ann_graph\",\"ann_points\":%zu,"
-        "\"ann_edges\":%zu,\"ann_levels\":%zu,\"ann_ef\":%zu",
-        graph->size(), graph->EdgeCount(), graph->max_level() + 1,
-        graph->EffectiveEf(1));  // the recall-derived beam floor
+    telemetry.Key("ann_points").Uint(graph->size())
+        .Key("ann_edges").Uint(graph->EdgeCount())
+        .Key("ann_levels").Uint(graph->max_level() + 1)
+        .Key("ann_ef").Uint(graph->EffectiveEf(1));  // recall-derived floor
   }
-  std::printf(
-      "{\"schema\":\"transer.stream_ingest\",\"segments\":%zu,"
-      "\"live_bytes\":%zu,\"first_segment\":%llu,\"active_segment\":%llu,"
-      "\"retention_stalls\":%zu,\"segments_dropped\":%zu,"
-      "\"snapshots\":%zu,\"writers\":%zu,\"ingest_seconds\":%.6f,%s}\n",
-      stats.segments, stats.live_bytes,
-      static_cast<unsigned long long>(stats.first_segment),
-      static_cast<unsigned long long>(stats.active_segment),
-      stats.retention_stalls, stats.segments_dropped,
-      ingestor.snapshot_count(), writers, ingest_seconds,
-      knn_telemetry.c_str());
+  std::printf("%s\n", telemetry.EndObject().str().c_str());
   std::printf("applied=%llu digest=%016llx matches=%zu quarantined=%zu\n",
               static_cast<unsigned long long>(resolver.applied_sequence()),
               static_cast<unsigned long long>(resolver.StateDigest()),

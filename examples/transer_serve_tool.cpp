@@ -65,6 +65,7 @@
 #include "features/feature_matrix.h"
 #include "knn/knn_backend.h"
 #include "serve/server_core.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/string_util.h"
@@ -642,16 +643,14 @@ int RunSoak(int argc, char** argv, const std::string& socket_path) {
     total.transport_resets += c.transport_resets;
     total.lost_valid += c.lost_valid;
   }
-  std::printf(
-      "SOAK {\"sent\":%llu,\"ok\":%llu,\"degraded\":%llu,\"rejected\":%llu,"
-      "\"transport_resets\":%llu,\"lost_valid\":%llu,\"swapped\":%d}\n",
-      static_cast<unsigned long long>(total.sent),
-      static_cast<unsigned long long>(total.ok),
-      static_cast<unsigned long long>(total.degraded),
-      static_cast<unsigned long long>(total.rejected),
-      static_cast<unsigned long long>(total.transport_resets),
-      static_cast<unsigned long long>(total.lost_valid),
-      swap_enabled && swap_ok ? 1 : 0);
+  json::Writer soak;
+  soak.BeginObject().Key("sent").Uint(total.sent).Key("ok").Uint(total.ok)
+      .Key("degraded").Uint(total.degraded)
+      .Key("rejected").Uint(total.rejected)
+      .Key("transport_resets").Uint(total.transport_resets)
+      .Key("lost_valid").Uint(total.lost_valid)
+      .Key("swapped").Int(swap_enabled && swap_ok ? 1 : 0).EndObject();
+  std::printf("SOAK %s\n", soak.str().c_str());
   // Every well-formed request must have been answered with a decodable
   // response; corrupted frames may legitimately cost their connection.
   // When a swap was requested, it must also have landed.

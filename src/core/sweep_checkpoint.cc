@@ -3,138 +3,42 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <tuple>
 
 #include "util/journal_io.h"
+#include "util/json.h"
 #include "util/string_util.h"
 
 namespace transer {
 
-namespace {
-
-/// Escapes the characters that would break a one-line JSON string.
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-/// Minimal field extraction for the flat one-line objects this journal
-/// writes: finds `"name":` and returns the raw value token (unescaped
-/// for strings). Not a general JSON parser — it only needs to read what
-/// EncodeSweepCellRecord produces, and any deviation is malformation.
-bool ExtractRaw(const std::string& line, const std::string& name,
-                std::string* out) {
-  const std::string needle = "\"" + name + "\":";
-  const size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  size_t pos = at + needle.size();
-  if (pos >= line.size()) return false;
-  if (line[pos] == '"') {
-    ++pos;
-    std::string value;
-    while (pos < line.size() && line[pos] != '"') {
-      if (line[pos] == '\\') {
-        ++pos;
-        if (pos >= line.size()) return false;
-        switch (line[pos]) {
-          case 'n':
-            value += '\n';
-            break;
-          case 'r':
-            value += '\r';
-            break;
-          case 't':
-            value += '\t';
-            break;
-          default:
-            value += line[pos];
-        }
-      } else {
-        value += line[pos];
-      }
-      ++pos;
-    }
-    if (pos >= line.size()) return false;  // unterminated string
-    *out = std::move(value);
-    return true;
-  }
-  const size_t end = line.find_first_of(",}", pos);
-  if (end == std::string::npos || end == pos) return false;
-  *out = line.substr(pos, end - pos);
-  return true;
-}
-
-bool ExtractDouble(const std::string& line, const std::string& name,
-                   double* out) {
-  std::string raw;
-  return ExtractRaw(line, name, &raw) && ParseDouble(raw, out);
-}
-
-}  // namespace
-
 std::string EncodeSweepCellRecord(const SweepCellRecord& record) {
-  // %.17g round-trips every finite double exactly, so a resumed sweep
-  // aggregates bit-identical values.
-  return StrFormat(
-      "{\"method\":\"%s\",\"scenario\":\"%s\",\"classifier\":\"%s\","
-      "\"seed\":%llu,\"failure\":\"%s\",\"precision\":%.17g,"
-      "\"recall\":%.17g,\"f1\":%.17g,\"f_star\":%.17g,"
-      "\"runtime_seconds\":%.17g}",
-      JsonEscape(record.key.method).c_str(),
-      JsonEscape(record.key.scenario).c_str(),
-      JsonEscape(record.key.classifier).c_str(),
-      static_cast<unsigned long long>(record.seed),
-      JsonEscape(record.failure).c_str(), record.quality.precision,
-      record.quality.recall, record.quality.f1, record.quality.f_star,
-      record.runtime_seconds);
+  json::Writer writer;
+  writer.BeginObject().Key("method").String(record.key.method)
+      .Key("scenario").String(record.key.scenario)
+      .Key("classifier").String(record.key.classifier)
+      .Key("seed").Uint(record.seed).Key("failure").String(record.failure)
+      .Key("precision").Double(record.quality.precision)
+      .Key("recall").Double(record.quality.recall)
+      .Key("f1").Double(record.quality.f1)
+      .Key("f_star").Double(record.quality.f_star)
+      .Key("runtime_seconds").Double(record.runtime_seconds).EndObject();
+  return writer.str();
 }
 
 Result<SweepCellRecord> DecodeSweepCellRecord(const std::string& line) {
-  const std::string trimmed = Trim(line);
-  if (trimmed.empty() || trimmed.front() != '{' || trimmed.back() != '}') {
-    return Status::InvalidArgument("not a JSON object line");
-  }
+  TRANSER_ASSIGN_OR_RETURN(const json::Value doc, json::Parse(line));
   SweepCellRecord record;
-  std::string seed_raw;
-  int64_t seed = 0;
-  if (!ExtractRaw(trimmed, "method", &record.key.method) ||
-      !ExtractRaw(trimmed, "scenario", &record.key.scenario) ||
-      !ExtractRaw(trimmed, "classifier", &record.key.classifier) ||
-      !ExtractRaw(trimmed, "seed", &seed_raw) ||
-      !ParseInt64(seed_raw, &seed) ||
-      !ExtractRaw(trimmed, "failure", &record.failure) ||
-      !ExtractDouble(trimmed, "precision", &record.quality.precision) ||
-      !ExtractDouble(trimmed, "recall", &record.quality.recall) ||
-      !ExtractDouble(trimmed, "f1", &record.quality.f1) ||
-      !ExtractDouble(trimmed, "f_star", &record.quality.f_star) ||
-      !ExtractDouble(trimmed, "runtime_seconds",
-                     &record.runtime_seconds)) {
-    return Status::InvalidArgument("malformed sweep checkpoint line");
-  }
-  record.seed = static_cast<uint64_t>(seed);
+  TRANSER_RETURN_IF_ERROR(doc.Get("method", &record.key.method));
+  TRANSER_RETURN_IF_ERROR(doc.Get("scenario", &record.key.scenario));
+  TRANSER_RETURN_IF_ERROR(doc.Get("classifier", &record.key.classifier));
+  TRANSER_RETURN_IF_ERROR(doc.Get("seed", &record.seed));
+  TRANSER_RETURN_IF_ERROR(doc.Get("failure", &record.failure));
+  TRANSER_RETURN_IF_ERROR(doc.Get("precision", &record.quality.precision));
+  TRANSER_RETURN_IF_ERROR(doc.Get("recall", &record.quality.recall));
+  TRANSER_RETURN_IF_ERROR(doc.Get("f1", &record.quality.f1));
+  TRANSER_RETURN_IF_ERROR(doc.Get("f_star", &record.quality.f_star));
+  TRANSER_RETURN_IF_ERROR(
+      doc.Get("runtime_seconds", &record.runtime_seconds));
   return record;
 }
 

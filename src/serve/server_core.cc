@@ -8,6 +8,7 @@
 #include "knn/ann_graph.h"
 #include "ml/classifier.h"
 #include "ml/knn_classifier.h"
+#include "util/json.h"
 #include "util/string_util.h"
 
 namespace transer {
@@ -83,10 +84,11 @@ Response ServerCore::Handle(const Request& request) {
   response.op = request.op;
 
   if (request.op == RequestOp::kPing) {
-    response.stats_text =
-        StrFormat("{\"ready\":%s,\"models\":%zu,\"draining\":%s}",
-                  ready() ? "true" : "false", repository_.size(),
-                  draining() ? "true" : "false");
+    json::Writer writer;
+    writer.BeginObject().Key("ready").Bool(ready())
+        .Key("models").Uint(repository_.size())
+        .Key("draining").Bool(draining()).EndObject();
+    response.stats_text = writer.str();
     stats_.RecordServedFull();
     response.server_ms = watch.ElapsedMillis();
     stats_.RecordLatencyMs(response.server_ms);

@@ -1,26 +1,26 @@
 #include "serve/server_stats.h"
 
-#include <sstream>
+#include "util/json.h"
 
 namespace transer {
 namespace serve {
 
 std::string StatsSnapshot::ToJson() const {
-  std::ostringstream out;
-  out << "{\"ready\":" << (ready ? "true" : "false")
-      << ",\"draining\":" << (draining ? "true" : "false")
-      << ",\"received\":" << received << ",\"served_full\":" << served_full
-      << ",\"served_degraded\":" << served_degraded << ",\"shed\":" << shed
-      << ",\"rejected\":" << rejected << ",\"malformed\":" << malformed
-      << ",\"active_requests\":" << active_requests
-      << ",\"latency_samples\":" << latency_samples << ",\"p50_ms\":" << p50_ms
-      << ",\"p99_ms\":" << p99_ms << ",\"models\":" << models
-      << ",\"refreshes\":" << refreshes << ",\"load_retries\":" << load_retries
-      << ",\"quarantined\":" << quarantined << ",\"knn_backend\":\""
-      << knn_backend << "\",\"ann_models\":" << ann_models
-      << ",\"ann_points\":" << ann_points << ",\"ann_edges\":" << ann_edges
-      << "}";
-  return out.str();
+  json::Writer writer;
+  writer.BeginObject().Key("ready").Bool(ready).Key("draining").Bool(draining)
+      .Key("received").Uint(received).Key("served_full").Uint(served_full)
+      .Key("served_degraded").Uint(served_degraded).Key("shed").Uint(shed)
+      .Key("rejected").Uint(rejected).Key("malformed").Uint(malformed)
+      .Key("active_requests").Uint(active_requests)
+      .Key("latency_samples").Uint(latency_samples)
+      .Key("p50_ms").Double(p50_ms).Key("p99_ms").Double(p99_ms)
+      .Key("models").Uint(models).Key("refreshes").Uint(refreshes)
+      .Key("load_retries").Uint(load_retries)
+      .Key("quarantined").Uint(quarantined)
+      .Key("knn_backend").String(knn_backend)
+      .Key("ann_models").Uint(ann_models).Key("ann_points").Uint(ann_points)
+      .Key("ann_edges").Uint(ann_edges).EndObject();
+  return writer.str();
 }
 
 double ServerStats::BucketUpperMs(size_t i) {

@@ -1,6 +1,7 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -106,7 +107,12 @@ bool ParseDouble(std::string_view text, double* out) {
   errno = 0;
   char* end = nullptr;
   double value = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+  // strtod sets ERANGE on underflow too; only overflow (an infinite
+  // result) is out of range, a subnormal is a value like any other.
+  if ((errno != 0 && !std::isfinite(value)) ||
+      end != buf.c_str() + buf.size()) {
+    return false;
+  }
   *out = value;
   return true;
 }

@@ -37,7 +37,8 @@ std::string ReplaceAll(std::string_view text, std::string_view from,
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/// Parses a double; returns false on malformed or trailing garbage.
+/// Parses a double; returns false on malformed input, trailing garbage or
+/// overflow. Underflow is accepted: a subnormal is a finite value.
 bool ParseDouble(std::string_view text, double* out);
 
 /// Parses a signed 64-bit integer; returns false on malformed input.

@@ -309,6 +309,8 @@ TEST(ServerCoreTest, EmptyRepositoryRejectsDataServesControl) {
   const Response pong = server.Handle(ping);
   EXPECT_EQ(pong.outcome, ServeOutcome::kOk);
   EXPECT_NE(pong.stats_text.find("\"ready\":false"), std::string::npos);
+  EXPECT_EQ(pong.stats_text,
+            "{\"ready\":false,\"models\":0,\"draining\":false}");
 
   const TransferPair pair = MakePair(109);
   const Response response = server.Handle(
@@ -369,6 +371,45 @@ TEST(ServerCoreTest, HandleFrameRoundTripsAndSurvivesCorruption) {
   auto again = DecodeResponse(server.HandleFrame(good), limits);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value().outcome, ServeOutcome::kOk);
+}
+
+TEST(StatsSnapshotTest, JsonKeepsItsByteLayout) {
+  // The stats payload that health checks and CI parse; pinned byte for
+  // byte so key order and number formatting cannot drift.
+  StatsSnapshot snapshot;
+  EXPECT_EQ(snapshot.ToJson(),
+            "{\"ready\":false,\"draining\":false,\"received\":0,"
+            "\"served_full\":0,\"served_degraded\":0,\"shed\":0,"
+            "\"rejected\":0,\"malformed\":0,\"active_requests\":0,"
+            "\"latency_samples\":0,\"p50_ms\":0,\"p99_ms\":0,\"models\":0,"
+            "\"refreshes\":0,\"load_retries\":0,\"quarantined\":0,"
+            "\"knn_backend\":\"\",\"ann_models\":0,\"ann_points\":0,"
+            "\"ann_edges\":0}");
+  snapshot.received = 12;
+  snapshot.served_full = 7;
+  snapshot.served_degraded = 2;
+  snapshot.shed = 1;
+  snapshot.rejected = 1;
+  snapshot.malformed = 1;
+  snapshot.latency_samples = 9;
+  snapshot.p50_ms = 1;
+  snapshot.p99_ms = 1024;
+  snapshot.models = 2;
+  snapshot.refreshes = 3;
+  snapshot.quarantined = 1;
+  snapshot.ready = true;
+  snapshot.knn_backend = "kd_tree";
+  snapshot.ann_models = 1;
+  snapshot.ann_points = 20000;
+  snapshot.ann_edges = 640000;
+  EXPECT_EQ(snapshot.ToJson(),
+            "{\"ready\":true,\"draining\":false,\"received\":12,"
+            "\"served_full\":7,\"served_degraded\":2,\"shed\":1,"
+            "\"rejected\":1,\"malformed\":1,\"active_requests\":0,"
+            "\"latency_samples\":9,\"p50_ms\":1,\"p99_ms\":1024,"
+            "\"models\":2,\"refreshes\":3,\"load_retries\":0,"
+            "\"quarantined\":1,\"knn_backend\":\"kd_tree\",\"ann_models\":1,"
+            "\"ann_points\":20000,\"ann_edges\":640000}");
 }
 
 TEST(ServerCoreTest, StatsReportCountersAndRepositoryState) {

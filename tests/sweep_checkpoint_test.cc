@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -120,9 +121,15 @@ TEST(SweepCellRecordTest, RoundTripsEscapedStrings) {
   SweepCellRecord record = MakeRecord();
   record.key.scenario = "a \"quoted\" \\ name";
   record.failure = "disk\nfull";
-  auto decoded = DecodeSweepCellRecord(EncodeSweepCellRecord(record));
+  record.key.method = "a\x01" "b\x1f\x7f";  // control bytes
+  const std::string line = EncodeSweepCellRecord(record);
+  for (const char c : line) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << line;
+  }
+  auto decoded = DecodeSweepCellRecord(line);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().key.scenario, record.key.scenario);
+  EXPECT_EQ(decoded.value().key.method, record.key.method);
   EXPECT_EQ(decoded.value().failure, record.failure);
 }
 
@@ -134,6 +141,62 @@ TEST(SweepCellRecordTest, DecodeRejectsMalformedLines) {
   // A torn write: the line cut anywhere before its end must not parse.
   EXPECT_FALSE(
       DecodeSweepCellRecord(full.substr(0, full.size() / 2)).ok());
+  for (size_t length = 0; length < full.size(); ++length) {
+    EXPECT_FALSE(DecodeSweepCellRecord(full.substr(0, length)).ok())
+        << full.substr(0, length);
+  }
+}
+
+TEST(SweepCellRecordTest, SeedsAtAndAbove2To63RoundTrip) {
+  for (const uint64_t seed :
+       {uint64_t{1} << 63, std::numeric_limits<uint64_t>::max()}) {
+    SweepCellRecord record = MakeRecord();
+    record.seed = seed;
+    auto decoded = DecodeSweepCellRecord(EncodeSweepCellRecord(record));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded.value().seed, seed);
+  }
+  // `--seed=-1` casts to UINT64_MAX; its journaled cell must resume.
+  const std::string path = TempJournalPath("huge_seed");
+  SweepCellRecord record = MakeRecord();
+  record.seed = std::numeric_limits<uint64_t>::max();
+  {
+    std::ofstream out(path);
+    out << EncodeSweepCellRecord(record) << "\n";
+  }
+  RunDiagnostics diagnostics;
+  auto checkpoint = SweepCheckpoint::Open(path, &diagnostics);
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  ASSERT_EQ(checkpoint.value().size(), 1u);
+  EXPECT_EQ(checkpoint.value().records()[0].seed, record.seed);
+  EXPECT_FALSE(diagnostics.HasKind(DegradationKind::kCheckpointTailDropped));
+}
+
+TEST(SweepCellRecordTest, EncodingMatchesTheJournalFormatByteForByte) {
+  // Lines as the journal has always written them; existing journals
+  // must keep decoding to identical records, and printable names must
+  // keep encoding to identical bytes.
+  const std::string line =
+      "{\"method\":\"transer\",\"scenario\":\"A -> B\",\"classifier\":\"svm\","
+      "\"seed\":12033,\"failure\":\"\",\"precision\":0.33333333333333331,"
+      "\"recall\":0.875,\"f1\":0.2857142857142857,"
+      "\"f_star\":0.12345678901234568,\"runtime_seconds\":0.0015}";
+  EXPECT_EQ(EncodeSweepCellRecord(MakeRecord()), line);
+  auto decoded = DecodeSweepCellRecord(line);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(EncodeSweepCellRecord(decoded.value()), line);
+
+  const std::string escaped =
+      "{\"method\":\"transer\",\"scenario\":\"a \\\"quoted\\\" \\\\ "
+      "name\\ttab\",\"classifier\":\"svm\",\"seed\":9223372036854775807,"
+      "\"failure\":\"disk\\nfull\\r\",\"precision\":0,\"recall\":0,"
+      "\"f1\":0,\"f_star\":0,\"runtime_seconds\":0}";
+  auto old_record = DecodeSweepCellRecord(escaped);
+  ASSERT_TRUE(old_record.ok()) << old_record.status().ToString();
+  EXPECT_EQ(old_record.value().key.scenario, "a \"quoted\" \\ name\ttab");
+  EXPECT_EQ(old_record.value().failure, "disk\nfull\r");
+  EXPECT_EQ(old_record.value().seed, 9223372036854775807u);
+  EXPECT_EQ(EncodeSweepCellRecord(old_record.value()), escaped);
 }
 
 // ---------- journal durability ----------

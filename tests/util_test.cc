@@ -1,10 +1,13 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "util/csv.h"
+#include "util/json.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
@@ -229,6 +232,19 @@ TEST(StringUtilTest, ParseDoubleAcceptsAndRejects) {
   EXPECT_FALSE(ParseDouble("abc", &v));
   EXPECT_FALSE(ParseDouble("1.5x", &v));
   EXPECT_FALSE(ParseDouble("", &v));
+  // Underflow is not an error: subnormals are finite values and parse
+  // exactly. Overflow to infinity is rejected.
+  EXPECT_TRUE(ParseDouble("1e-310", &v));
+  EXPECT_EQ(v, 1e-310);
+  EXPECT_TRUE(ParseDouble("2.2250738585072009e-308", &v));
+  EXPECT_EQ(v, std::numeric_limits<double>::min() -
+                   std::numeric_limits<double>::denorm_min());
+  EXPECT_TRUE(ParseDouble("4.9406564584124654e-324", &v));
+  EXPECT_EQ(v, std::numeric_limits<double>::denorm_min());
+  EXPECT_TRUE(ParseDouble("-4.9406564584124654e-324", &v));
+  EXPECT_EQ(v, -std::numeric_limits<double>::denorm_min());
+  EXPECT_FALSE(ParseDouble("1e400", &v));
+  EXPECT_FALSE(ParseDouble("-1e400", &v));
 }
 
 TEST(StringUtilTest, ParseInt64AcceptsAndRejects) {
@@ -298,6 +314,258 @@ TEST(CsvTest, ReadMissingFileFails) {
   auto loaded = Csv::ReadFile("/nonexistent/definitely_missing.csv", true);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+}
+
+// ---------- Json ----------
+
+std::string WriteString(const std::string& text) {
+  json::Writer writer;
+  return writer.String(text).str();
+}
+
+void ExpectNoRawControlBytes(const std::string& text) {
+  for (const char c : text) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "in " << text;
+  }
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// A sidecar in the multi-line layout older writers produced, and a sweep
+// journal line as the journal has always written it.
+const char kSampleSidecar[] =
+    "{\"schema\":\"transer.kernel_perf\",\"version\":1,\"threads\":1,\n"
+    "\"entries\":[\n"
+    "{\"name\":\"ann.batch.brute_force\",\"threads\":1,"
+    "\"ns_per_op\":3.9891e+06,\"ops_per_sec\":250.683},\n"
+    "{\"name\":\"ann.batch.kd_tree\",\"threads\":1,"
+    "\"ns_per_op\":1.1681e+07,\"ops_per_sec\":85.6089}\n"
+    "],\n"
+    "\"extra\":{\"ann_recall\":0.994336,\"ann_effective_ef\":116}}";
+const char kSampleJournalLine[] =
+    "{\"method\":\"transer\",\"scenario\":\"A -> B\",\"classifier\":\"svm\","
+    "\"seed\":12033,\"failure\":\"\",\"precision\":0.33333333333333331,"
+    "\"recall\":0.875,\"f1\":0.2857142857142857,"
+    "\"f_star\":0.12345678901234568,\"runtime_seconds\":0.0015}";
+
+TEST(JsonTest, WriterIsCompactAndKeepsKeyOrder) {
+  json::Writer writer;
+  writer.BeginObject()
+      .Key("z").Int(-7)
+      .Key("a").BeginArray().Bool(true).Bool(false).Uint(18446744073709551615u)
+      .Double(0.5).BeginObject().EndObject().BeginArray().EndArray()
+      .EndArray()
+      .Key("s").String("x\"y\\z/")
+      .EndObject();
+  EXPECT_EQ(writer.str(),
+            "{\"z\":-7,\"a\":[true,false,18446744073709551615,0.5,{},[]],"
+            "\"s\":\"x\\\"y\\\\z/\"}");
+}
+
+TEST(JsonTest, EverySingleByteRoundTrips) {
+  for (int byte = 0; byte < 256; ++byte) {
+    const std::string text(1, static_cast<char>(byte));
+    const std::string written = WriteString(text);
+    ExpectNoRawControlBytes(written);
+    auto parsed = json::Parse(written);
+    ASSERT_TRUE(parsed.ok()) << byte << ": " << parsed.status().ToString();
+    std::string back;
+    ASSERT_TRUE(parsed.value().As(&back).ok());
+    EXPECT_EQ(back, text) << "byte " << byte;
+  }
+  EXPECT_EQ(WriteString("a\x01" "b"), "\"a\\u0001b\"");
+  EXPECT_EQ(WriteString("\n\t"), "\"\\n\\t\"");
+}
+
+TEST(JsonTest, RandomByteStringsRoundTrip) {
+  Rng rng(20261018);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::string text(rng.NextUint64Below(64), '\0');
+    for (char& c : text) c = static_cast<char>(rng.NextUint64Below(256));
+    const std::string written = WriteString(text);
+    ExpectNoRawControlBytes(written);
+    auto parsed = json::Parse(written);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    std::string back;
+    ASSERT_TRUE(parsed.value().As(&back).ok());
+    EXPECT_EQ(back, text);
+  }
+}
+
+TEST(JsonTest, DoublesRoundTripBitExactly) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                1.0 / 3.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::min() / 3.0,
+                                std::numeric_limits<double>::max(),
+                                -std::numeric_limits<double>::max()};
+  Rng rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t bits = rng.NextUint64();
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof(value));
+    if (std::isfinite(value)) values.push_back(value);
+  }
+  for (int i = 0; i < 2000; ++i) {  // subnormals: exponent bits all zero
+    const uint64_t bits = rng.NextUint64() & 0x800FFFFFFFFFFFFFull;
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof(value));
+    values.push_back(value);
+  }
+  for (const double value : values) {
+    json::Writer writer;
+    auto parsed = json::Parse(writer.Double(value).str());
+    ASSERT_TRUE(parsed.ok()) << writer.str();
+    double back = 1.0;
+    ASSERT_TRUE(parsed.value().As(&back).ok()) << writer.str();
+    EXPECT_EQ(Bits(back), Bits(value)) << writer.str();
+  }
+}
+
+TEST(JsonTest, NonFiniteDoublesAreWrittenAsNull) {
+  json::Writer writer;
+  writer.BeginArray()
+      .Double(std::numeric_limits<double>::quiet_NaN())
+      .Double(std::numeric_limits<double>::infinity())
+      .Double(-std::numeric_limits<double>::infinity())
+      .EndArray();
+  EXPECT_EQ(writer.str(), "[null,null,null]");
+  auto parsed = json::Parse(writer.str());
+  ASSERT_TRUE(parsed.ok());
+  for (const json::Value& item : parsed.value().items) {
+    double value = 0.0;
+    ASSERT_TRUE(item.As(&value).ok());
+    EXPECT_TRUE(std::isnan(value));
+  }
+}
+
+TEST(JsonTest, IntegersReadBackExactlyAndInRange) {
+  json::Writer writer;
+  writer.BeginObject()
+      .Key("big").Uint(uint64_t{1} << 63)
+      .Key("max").Uint(std::numeric_limits<uint64_t>::max())
+      .Key("min").Int(std::numeric_limits<int64_t>::min())
+      .Key("frac").Double(1.5)
+      .EndObject();
+  auto parsed = json::Parse(writer.str());
+  ASSERT_TRUE(parsed.ok());
+  const json::Value& doc = parsed.value();
+  uint64_t u = 0;
+  int64_t i = 0;
+  int narrow = 0;
+  ASSERT_TRUE(doc.Get("big", &u).ok());
+  EXPECT_EQ(u, uint64_t{1} << 63);
+  ASSERT_TRUE(doc.Get("max", &u).ok());
+  EXPECT_EQ(u, std::numeric_limits<uint64_t>::max());
+  ASSERT_TRUE(doc.Get("min", &i).ok());
+  EXPECT_EQ(i, std::numeric_limits<int64_t>::min());
+  EXPECT_FALSE(doc.Get("big", &i).ok());     // past int64
+  EXPECT_FALSE(doc.Get("max", &narrow).ok());  // past int
+  EXPECT_FALSE(doc.Get("min", &u).ok());     // negative
+  EXPECT_FALSE(doc.Get("frac", &i).ok());    // not an integer
+}
+
+TEST(JsonTest, TypedLookupsReportMissingAndWrongTypes) {
+  auto parsed = json::Parse(kSampleSidecar);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const json::Value& doc = parsed.value();
+  std::string schema;
+  ASSERT_TRUE(doc.Get("schema", &schema).ok());
+  EXPECT_EQ(schema, "transer.kernel_perf");
+  auto entries = doc.Member("entries", json::Value::Type::kArray);
+  ASSERT_TRUE(entries.ok());
+  ASSERT_EQ(entries.value()->items.size(), 2u);
+  double ns = 0.0;
+  ASSERT_TRUE(entries.value()->items[1].Get("ns_per_op", &ns).ok());
+  EXPECT_EQ(ns, 1.1681e+07);
+  auto extra = doc.Member("extra", json::Value::Type::kObject);
+  ASSERT_TRUE(extra.ok());
+  EXPECT_EQ(extra.value()->keys,
+            (std::vector<std::string>{"ann_recall", "ann_effective_ef"}));
+
+  int64_t version = 0;
+  EXPECT_EQ(doc.Get("missing", &schema).code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(doc.Get("schema", &version).ok());
+  EXPECT_FALSE(doc.Get("version", &schema).ok());
+  EXPECT_FALSE(doc.Member("entries", json::Value::Type::kObject).ok());
+  EXPECT_FALSE(doc.Member("schema", json::Value::Type::kArray).ok());
+  EXPECT_FALSE(entries.value()->Get("name", &schema).ok());  // not an object
+}
+
+TEST(JsonTest, ParseIsStrict) {
+  for (const char* good :
+       {"{}", "[]", " {\"a\" : [ 1 , -0.5e+3 , true , null ] }\r\n", "0",
+        "-0", "1E5", "\"\\/\\b\\f\\u00e9\\uD83D\\uDE00\""}) {
+    EXPECT_TRUE(json::Parse(good).ok()) << good;
+  }
+  auto text = json::Parse("\"\\u00e9\\ud83d\\ude00\"");
+  ASSERT_TRUE(text.ok());
+  EXPECT_EQ(text.value().text, "\xc3\xa9\xf0\x9f\x98\x80");
+  for (const char* bad :
+       {"", " ", "{", "}", "[1,]", "{\"a\":1,}", "{\"a\" 1}", "{a:1}",
+        "{'a':1}", "[1 2]", "01", "-", "1.", ".5", "+1", "1e", "1e+",
+        "0x10", "NaN", "Infinity", "-Infinity", "tru", "nul", "True",
+        "\"abc", "\"\\x\"", "\"\\u12\"", "\"\\ud800\"", "\"\\udc00\"",
+        "\"\\ud800\\u0041\"", "\"a\tb\"", "\"a\nb\"", "{} x", "[] []",
+        "{\"a\":1}}"}) {
+    EXPECT_FALSE(json::Parse(bad).ok()) << bad;
+  }
+  // Numbers keep their token; a number read as a double that overflows
+  // is an error, not infinity.
+  auto huge = json::Parse("1e400");
+  ASSERT_TRUE(huge.ok());
+  EXPECT_EQ(huge.value().text, "1e400");
+  double value = 0.0;
+  EXPECT_FALSE(huge.value().As(&value).ok());
+}
+
+TEST(JsonTest, EveryPrefixOfADocumentIsAnError) {
+  for (const std::string document : {kSampleSidecar, kSampleJournalLine}) {
+    ASSERT_TRUE(json::Parse(document).ok());
+    for (size_t length = 0; length < document.size(); ++length) {
+      EXPECT_FALSE(json::Parse(document.substr(0, length)).ok())
+          << "prefix of length " << length;
+    }
+  }
+}
+
+TEST(JsonTest, ByteFlipsNeverCrash) {
+  size_t parsed_ok = 0;
+  for (const std::string document : {kSampleSidecar, kSampleJournalLine}) {
+    for (size_t offset = 0; offset < document.size(); ++offset) {
+      for (const unsigned char mask : {0x01, 0x20, 0x80, 0xFF}) {
+        std::string flipped = document;
+        flipped[offset] = static_cast<char>(flipped[offset] ^ mask);
+        auto parsed = json::Parse(flipped);
+        if (!parsed.ok()) continue;
+        ++parsed_ok;
+        std::string schema;
+        (void)parsed.value().Get("schema", &schema);
+      }
+    }
+  }
+  EXPECT_GT(parsed_ok, 0u);  // e.g. a flipped digit is still a document
+}
+
+TEST(JsonTest, NestingPastTheDepthCapIsAnError) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<size_t>(depth), '[') +
+           std::string(static_cast<size_t>(depth), ']');
+  };
+  EXPECT_TRUE(json::Parse(nested(json::kMaxDepth)).ok());
+  EXPECT_FALSE(json::Parse(nested(json::kMaxDepth + 1)).ok());
+  EXPECT_FALSE(json::Parse(std::string(100000, '[')).ok());
+  std::string objects;
+  for (int i = 0; i <= json::kMaxDepth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(json::kMaxDepth + 1, '}');
+  EXPECT_FALSE(json::Parse(objects).ok());
 }
 
 // ---------- Stopwatch ----------
