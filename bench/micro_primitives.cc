@@ -1,8 +1,8 @@
 // Perf-regression harness for the performance-critical primitives: the
-// vectorized kernel layer, tiled batch k-NN, bounded-heap queries and
-// the string similarity functions. Each primitive is timed next to the
-// scalar implementation it replaced, so the sidecar records both the
-// absolute cost and the speedup the kernel layer buys.
+// vectorized kernel layer, tiled batch k-NN, bounded-heap queries, the
+// string similarity functions and the CRC-32 checksum. Each primitive is
+// timed next to the scalar implementation it replaced, so the sidecar
+// records both the absolute cost and the speedup the kernel layer buys.
 //
 // Flags: --quick (shorter samples, fewer repeats; for CI smoke —
 //        workload sizes never change, so quick sidecars stay
@@ -44,6 +44,7 @@
 #include "text/edit_distance.h"
 #include "text/jaro_winkler.h"
 #include "text/set_similarity.h"
+#include "util/artifact_io.h"
 #include "util/execution_context.h"
 #include "util/parallel.h"
 #include "util/random.h"
@@ -102,6 +103,26 @@ void RowScanBatch(const Matrix& points, const Matrix& queries, size_t k,
     const std::span<const double> query(queries.Row(q), queries.cols());
     (*out)[q] = SortAllQuery(points, query, k);
   }
+}
+
+// The pre-slicing artifact::Crc32: one table lookup per byte.
+uint32_t BytewiseCrc32(const uint8_t* data, size_t size) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
 }
 
 // Full-table Levenshtein (the pre-banded implementation).
@@ -427,6 +448,21 @@ int Main(int argc, char** argv) {
                   },
                   ops_nnz);
 
+  // --- CRC-32 over one 64 KB buffer (a large serve frame) ---
+  std::vector<uint8_t> crc_bytes(size_t{1} << 16);
+  for (uint8_t& byte : crc_bytes) byte = static_cast<uint8_t>(rng.NextUint64());
+  if (artifact::Crc32(crc_bytes.data(), crc_bytes.size()) !=
+      BytewiseCrc32(crc_bytes.data(), crc_bytes.size())) {
+    std::fprintf(stderr, "Crc32 disagrees with the bytewise reference\n");
+    return 1;
+  }
+  const double crc_kernel = harness.Run("crc32.kernel.64k", 1, [&] {
+    bench::DoNotOptimize(artifact::Crc32(crc_bytes.data(), crc_bytes.size()));
+  });
+  const double crc_scalar = harness.Run("crc32.scalar.64k", 1, [&] {
+    bench::DoNotOptimize(BytewiseCrc32(crc_bytes.data(), crc_bytes.size()));
+  });
+
   // --- solver convergence: L-BFGS vs SGD on one small separable fit ---
   // Fixed workload (n=256, m=16) so a regression in either solver's
   // per-fit cost — extra passes, a broken line search — shows up as a
@@ -469,6 +505,7 @@ int Main(int argc, char** argv) {
   harness.Extra("sparse_dot_speedup_vs_scalar", sdot_scalar / sdot_kernel);
   harness.Extra("sparse_axpy_speedup_vs_scalar", saxpy_scalar / saxpy_kernel);
   harness.Extra("lbfgs_fit_speedup_vs_sgd", fit_sgd / fit_lbfgs);
+  harness.Extra("crc32_speedup_vs_bytewise", crc_scalar / crc_kernel);
 
   if (!bench::WritePerfSidecar(out_path, harness.sidecar())) return 1;
   std::printf("wrote %s\n", out_path.c_str());

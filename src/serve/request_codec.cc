@@ -21,12 +21,32 @@ constexpr uint8_t kResponseMessage = 2;
 constexpr uint8_t kMaxEventKind =
     static_cast<uint8_t>(DegradationKind::kServeArtifactRetried);
 
-uint32_t ReadU32At(std::span<const uint8_t> bytes, size_t offset) {
-  return static_cast<uint32_t>(bytes[offset]) |
-         static_cast<uint32_t>(bytes[offset + 1]) << 8 |
-         static_cast<uint32_t>(bytes[offset + 2]) << 16 |
-         static_cast<uint32_t>(bytes[offset + 3]) << 24;
+/// Magic plus the u32 payload length: the bytes before the payload.
+constexpr size_t kFrameHeaderBytes = sizeof(kFrameMagic) + 4;
+
+/// Starts a frame in one buffer sized for `payload_bytes`: the header,
+/// with a length placeholder that EndFrame patches once the payload is
+/// encoded after it. The size only decides how often the buffer grows.
+artifact::Encoder BeginFrame(size_t payload_bytes) {
+  artifact::Encoder frame;
+  frame.Reserve(kFrameOverheadBytes + payload_bytes);
+  frame.PutBytes(kFrameMagic, sizeof(kFrameMagic));
+  frame.PutU32(0);
+  return frame;
 }
+
+/// Completes a BeginFrame buffer in place: patches the payload length
+/// and appends the payload's CRC-32.
+std::vector<uint8_t> EndFrame(artifact::Encoder frame) {
+  const size_t payload_len = frame.bytes().size() - kFrameHeaderBytes;
+  frame.PatchU32(sizeof(kFrameMagic), static_cast<uint32_t>(payload_len));
+  frame.PutU32(artifact::Crc32(frame.bytes().data() + kFrameHeaderBytes,
+                               payload_len));
+  return frame.TakeBytes();
+}
+
+/// Encoded size of a string: u32 length + bytes.
+size_t StringBytes(const std::string& s) { return 4 + s.size(); }
 
 /// Strips and checks the magic/length/CRC framing, returning the
 /// payload span. The CRC is verified before any payload structure is
@@ -46,7 +66,8 @@ Result<std::span<const uint8_t>> UnwrapFrame(std::span<const uint8_t> frame,
         StrFormat("frame of %zu bytes exceeds the %zu-byte limit",
                   frame.size(), limits.max_frame_bytes));
   }
-  const uint32_t payload_len = ReadU32At(frame, sizeof(kFrameMagic));
+  const uint32_t payload_len =
+      artifact::LoadU32(frame.data() + sizeof(kFrameMagic));
   if (static_cast<size_t>(payload_len) !=
       frame.size() - kFrameOverheadBytes) {
     return Status::InvalidArgument(StrFormat(
@@ -55,8 +76,9 @@ Result<std::span<const uint8_t>> UnwrapFrame(std::span<const uint8_t> frame,
         payload_len, frame.size() - kFrameOverheadBytes));
   }
   const std::span<const uint8_t> payload =
-      frame.subspan(sizeof(kFrameMagic) + 4, payload_len);
-  const uint32_t stored_crc = ReadU32At(frame, frame.size() - 4);
+      frame.subspan(kFrameHeaderBytes, payload_len);
+  const uint32_t stored_crc =
+      artifact::LoadU32(frame.data() + frame.size() - 4);
   const uint32_t actual_crc =
       artifact::Crc32(payload.data(), payload.size());
   if (stored_crc != actual_crc) {
@@ -173,22 +195,21 @@ Status ValidateRequest(const Request& request, const CodecLimits& limits) {
   return Status::OK();
 }
 
-std::vector<uint8_t> WrapFrame(std::vector<uint8_t> payload) {
-  artifact::Encoder framed;
-  for (char c : kFrameMagic) framed.PutU8(static_cast<uint8_t>(c));
-  framed.PutU32(static_cast<uint32_t>(payload.size()));
-  std::vector<uint8_t> out = framed.TakeBytes();
-  const uint32_t crc = artifact::Crc32(payload.data(), payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
-  artifact::Encoder trailer;
-  trailer.PutU32(crc);
-  const std::vector<uint8_t>& trailer_bytes = trailer.bytes();
-  out.insert(out.end(), trailer_bytes.begin(), trailer_bytes.end());
-  return out;
+std::vector<uint8_t> WrapFrame(std::span<const uint8_t> payload) {
+  artifact::Encoder frame = BeginFrame(payload.size());
+  frame.PutBytes(payload.data(), payload.size());
+  return EndFrame(std::move(frame));
 }
 
 std::vector<uint8_t> EncodeRequest(const Request& request) {
-  artifact::Encoder out;
+  // Exact payload size: 18 bytes of fixed fields, the counted schema,
+  // the row count and the counted feature vector.
+  size_t names_bytes = 8;
+  for (const std::string& name : request.feature_names) {
+    names_bytes += StringBytes(name);
+  }
+  artifact::Encoder out = BeginFrame(18 + names_bytes + 8 + 8 +
+                                     8 * request.features.size());
   out.PutU8(kRequestMessage);
   out.PutU32(kCodecVersion);
   out.PutU64(request.request_id);
@@ -197,11 +218,20 @@ std::vector<uint8_t> EncodeRequest(const Request& request) {
   out.PutStringVec(request.feature_names);
   out.PutU64(request.rows);
   out.PutDoubleVec(request.features);
-  return WrapFrame(out.TakeBytes());
+  return EndFrame(std::move(out));
 }
 
 std::vector<uint8_t> EncodeResponse(const Response& response) {
-  artifact::Encoder out;
+  // Exact payload size: 32 bytes of fixed fields, the four strings, the
+  // two counted vectors and the counted events (17 fixed bytes each).
+  size_t events_bytes = 8;
+  for (const DegradationEvent& event : response.events) {
+    events_bytes += 17 + StringBytes(event.phase) + StringBytes(event.detail);
+  }
+  artifact::Encoder out = BeginFrame(
+      32 + StringBytes(response.model_id) + StringBytes(response.error) +
+      8 + 8 * response.labels.size() + 8 + 8 * response.confidences.size() +
+      StringBytes(response.stats_text) + events_bytes);
   out.PutU8(kResponseMessage);
   out.PutU32(kCodecVersion);
   out.PutU64(response.request_id);
@@ -223,7 +253,7 @@ std::vector<uint8_t> EncodeResponse(const Response& response) {
     out.PutDouble(event.original_value);
     out.PutDouble(event.adjusted_value);
   }
-  return WrapFrame(out.TakeBytes());
+  return EndFrame(std::move(out));
 }
 
 Result<Request> DecodeRequest(std::span<const uint8_t> frame,
@@ -317,14 +347,15 @@ void FrameReader::Feed(const uint8_t* data, size_t size) {
 
 FrameReader::Next FrameReader::Pop(std::vector<uint8_t>* frame) {
   if (corrupt_) return Next::kCorrupt;
-  if (buffer_.size() < sizeof(kFrameMagic) + 4) return Next::kNeedMore;
-  if (std::memcmp(buffer_.data(), kFrameMagic, sizeof(kFrameMagic)) != 0) {
+  if (buffered_bytes() < kFrameHeaderBytes) return Next::kNeedMore;
+  const uint8_t* head = buffer_.data() + read_offset_;
+  if (std::memcmp(head, kFrameMagic, sizeof(kFrameMagic)) != 0) {
     corrupt_ = true;
     error_ = Status::InvalidArgument(
         "stream does not start with the TSRV magic; cannot resync");
     return Next::kCorrupt;
   }
-  const uint32_t payload_len = ReadU32At(buffer_, sizeof(kFrameMagic));
+  const uint32_t payload_len = artifact::LoadU32(head + sizeof(kFrameMagic));
   const size_t frame_len = kFrameOverheadBytes + payload_len;
   if (frame_len > limits_.max_frame_bytes) {
     corrupt_ = true;
@@ -333,9 +364,16 @@ FrameReader::Next FrameReader::Pop(std::vector<uint8_t>* frame) {
         frame_len, limits_.max_frame_bytes));
     return Next::kCorrupt;
   }
-  if (buffer_.size() < frame_len) return Next::kNeedMore;
-  frame->assign(buffer_.begin(), buffer_.begin() + frame_len);
-  buffer_.erase(buffer_.begin(), buffer_.begin() + frame_len);
+  if (buffered_bytes() < frame_len) return Next::kNeedMore;
+  frame->assign(head, head + frame_len);
+  read_offset_ += frame_len;
+  // Drop the consumed prefix only once it is at least half the buffer,
+  // so popping n pipelined frames moves O(n) bytes in total, not O(n^2).
+  if (2 * read_offset_ >= buffer_.size()) {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<ptrdiff_t>(read_offset_));
+    read_offset_ = 0;
+  }
   return Next::kFrame;
 }
 

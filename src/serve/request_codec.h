@@ -110,9 +110,8 @@ std::vector<uint8_t> EncodeRequest(const Request& request);
 std::vector<uint8_t> EncodeResponse(const Response& response);
 
 /// Wraps an arbitrary payload in the magic/length/CRC framing. Exposed
-/// for tests and the soak client, which need valid framing around
-/// hand-built payloads.
-std::vector<uint8_t> WrapFrame(std::vector<uint8_t> payload);
+/// for tests, which need valid framing around hand-built payloads.
+std::vector<uint8_t> WrapFrame(std::span<const uint8_t> payload);
 
 /// Decodes and fully validates one request frame. Failure modes:
 ///   too short / length disagrees with the bytes  -> InvalidArgument
@@ -154,11 +153,12 @@ class FrameReader {
   /// The stream-level error after kCorrupt.
   const Status& error() const { return error_; }
 
-  size_t buffered_bytes() const { return buffer_.size(); }
+  size_t buffered_bytes() const { return buffer_.size() - read_offset_; }
 
  private:
   CodecLimits limits_;
   std::vector<uint8_t> buffer_;
+  size_t read_offset_ = 0;  ///< start of the first unpopped byte
   Status error_;
   bool corrupt_ = false;
 };

@@ -3,13 +3,22 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <array>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace transer {
 namespace artifact {
+
+// Every format built on the Encoder/Decoder — artifacts, frame
+// journals, serve frames — is little-endian, and both copy values in
+// host order.
+static_assert(std::endian::native == std::endian::little,
+              "artifact, journal and wire formats need a little-endian host");
 
 namespace {
 
@@ -18,19 +27,30 @@ namespace {
 constexpr uint32_t kMaxSections = 4096;
 constexpr uint32_t kMaxNameBytes = 1 << 16;
 
-const uint32_t* CrcTable() {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
+/// Slicing-by-8 tables for the reflected 0xEDB88320 polynomial
+/// (Kounavis & Berry, ISCC 2005). Row 0 is the classic bytewise table;
+/// row k maps a byte to its CRC followed by k zero bytes, so eight
+/// lookups fold eight input bytes per step.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+const CrcTables& CrcTable() {
+  static const CrcTables tables = [] {
+    CrcTables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (size_t k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
 }
 
 }  // namespace
@@ -81,13 +101,32 @@ Status SyncParentDir(const std::string& path) {
 }
 
 uint32_t Crc32(const void* data, size_t size) {
-  const uint32_t* table = CrcTable();
+  const CrcTables& t = CrcTable();
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const uint32_t lo = LoadU32(bytes) ^ crc;
+    const uint32_t hi = LoadU32(bytes + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = t[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
+}
+
+uint32_t LoadU32(const uint8_t* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+uint64_t LoadU64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
 }
 
 uint64_t FingerprintFeatureSchema(const std::vector<std::string>& names) {
@@ -108,48 +147,48 @@ uint64_t FingerprintFeatureSchema(const std::vector<std::string>& names) {
   return h;
 }
 
-void Encoder::PutU32(uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    bytes_.push_back(static_cast<uint8_t>(v >> shift));
-  }
-}
-
-void Encoder::PutU64(uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    bytes_.push_back(static_cast<uint8_t>(v >> shift));
-  }
-}
-
-void Encoder::PutDouble(double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
+void Encoder::PutBytes(const void* data, size_t size) {
+  if (size == 0) return;
+  const size_t at = bytes_.size();
+  bytes_.resize(at + size);
+  std::memcpy(bytes_.data() + at, data, size);
 }
 
 void Encoder::PutString(const std::string& s) {
   PutU32(static_cast<uint32_t>(s.size()));
-  bytes_.insert(bytes_.end(), s.begin(), s.end());
+  PutBytes(s.data(), s.size());
 }
 
 void Encoder::PutDoubleVec(const std::vector<double>& v) {
   PutU64(v.size());
-  for (double d : v) PutDouble(d);
+  PutBytes(v.data(), v.size() * sizeof(double));
 }
 
 void Encoder::PutIntVec(const std::vector<int>& v) {
   PutU64(v.size());
-  for (int i : v) PutI64(i);
+  const size_t at = bytes_.size();
+  bytes_.resize(at + v.size() * sizeof(int64_t));
+  uint8_t* out = bytes_.data() + at;
+  for (int i : v) {
+    const int64_t wide = i;
+    std::memcpy(out, &wide, sizeof(wide));
+    out += sizeof(wide);
+  }
 }
 
 void Encoder::PutU64Vec(const std::vector<uint64_t>& v) {
   PutU64(v.size());
-  for (uint64_t u : v) PutU64(u);
+  PutBytes(v.data(), v.size() * sizeof(uint64_t));
 }
 
 void Encoder::PutStringVec(const std::vector<std::string>& v) {
   PutU64(v.size());
   for (const std::string& s : v) PutString(s);
+}
+
+void Encoder::PatchU32(size_t offset, uint32_t v) {
+  TRANSER_CHECK_LE(offset + sizeof(v), bytes_.size());
+  std::memcpy(bytes_.data() + offset, &v, sizeof(v));
 }
 
 Status Decoder::Take(size_t n, const uint8_t** out) {
@@ -173,18 +212,14 @@ Status Decoder::GetU8(uint8_t* out) {
 Status Decoder::GetU32(uint32_t* out) {
   const uint8_t* p = nullptr;
   TRANSER_RETURN_IF_ERROR(Take(4, &p));
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  *out = v;
+  *out = LoadU32(p);
   return Status::OK();
 }
 
 Status Decoder::GetU64(uint64_t* out) {
   const uint8_t* p = nullptr;
   TRANSER_RETURN_IF_ERROR(Take(8, &p));
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  *out = v;
+  *out = LoadU64(p);
   return Status::OK();
 }
 
@@ -196,9 +231,9 @@ Status Decoder::GetI64(int64_t* out) {
 }
 
 Status Decoder::GetDouble(double* out) {
-  uint64_t bits = 0;
-  TRANSER_RETURN_IF_ERROR(GetU64(&bits));
-  std::memcpy(out, &bits, sizeof(bits));
+  const uint8_t* p = nullptr;
+  TRANSER_RETURN_IF_ERROR(Take(8, &p));
+  std::memcpy(out, p, sizeof(*out));
   return Status::OK();
 }
 
@@ -211,60 +246,48 @@ Status Decoder::GetString(std::string* out) {
   return Status::OK();
 }
 
-Status Decoder::GetDoubleVec(std::vector<double>* out) {
-  uint64_t count = 0;
-  TRANSER_RETURN_IF_ERROR(GetU64(&count));
-  if (count > remaining() / 8) {
+Status Decoder::TakeVector(const uint8_t** elements, size_t* count) {
+  uint64_t declared = 0;
+  TRANSER_RETURN_IF_ERROR(GetU64(&declared));
+  if (declared > remaining() / 8) {
     return Status::InvalidArgument(
         StrFormat("artifact vector count %llu exceeds the payload",
-                  static_cast<unsigned long long>(count)));
+                  static_cast<unsigned long long>(declared)));
   }
-  out->clear();
-  out->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    double v = 0.0;
-    TRANSER_RETURN_IF_ERROR(GetDouble(&v));
-    out->push_back(v);
-  }
+  *count = static_cast<size_t>(declared);
+  return Take(*count * 8, elements);
+}
+
+Status Decoder::GetDoubleVec(std::vector<double>* out) {
+  const uint8_t* p = nullptr;
+  size_t count = 0;
+  TRANSER_RETURN_IF_ERROR(TakeVector(&p, &count));
+  out->resize(count);
+  if (count > 0) std::memcpy(out->data(), p, count * sizeof(double));
   return Status::OK();
 }
 
 Status Decoder::GetIntVec(std::vector<int>* out) {
-  uint64_t count = 0;
-  TRANSER_RETURN_IF_ERROR(GetU64(&count));
-  if (count > remaining() / 8) {
-    return Status::InvalidArgument(
-        StrFormat("artifact vector count %llu exceeds the payload",
-                  static_cast<unsigned long long>(count)));
-  }
-  out->clear();
-  out->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    int64_t v = 0;
-    TRANSER_RETURN_IF_ERROR(GetI64(&v));
+  const uint8_t* p = nullptr;
+  size_t count = 0;
+  TRANSER_RETURN_IF_ERROR(TakeVector(&p, &count));
+  out->resize(count);
+  for (size_t i = 0; i < count; ++i) {
+    const int64_t v = static_cast<int64_t>(LoadU64(p + 8 * i));
     if (v < INT32_MIN || v > INT32_MAX) {
       return Status::InvalidArgument("artifact int out of range");
     }
-    out->push_back(static_cast<int>(v));
+    (*out)[i] = static_cast<int>(v);
   }
   return Status::OK();
 }
 
 Status Decoder::GetU64Vec(std::vector<uint64_t>* out) {
-  uint64_t count = 0;
-  TRANSER_RETURN_IF_ERROR(GetU64(&count));
-  if (count > remaining() / 8) {
-    return Status::InvalidArgument(
-        StrFormat("artifact vector count %llu exceeds the payload",
-                  static_cast<unsigned long long>(count)));
-  }
-  out->clear();
-  out->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t v = 0;
-    TRANSER_RETURN_IF_ERROR(GetU64(&v));
-    out->push_back(v);
-  }
+  const uint8_t* p = nullptr;
+  size_t count = 0;
+  TRANSER_RETURN_IF_ERROR(TakeVector(&p, &count));
+  out->resize(count);
+  if (count > 0) std::memcpy(out->data(), p, count * sizeof(uint64_t));
   return Status::OK();
 }
 
@@ -283,6 +306,13 @@ Status Decoder::GetStringVec(std::vector<std::string>* out) {
     TRANSER_RETURN_IF_ERROR(GetString(&s));
     out->push_back(std::move(s));
   }
+  return Status::OK();
+}
+
+Status Decoder::GetBytes(size_t size, std::span<const uint8_t>* out) {
+  const uint8_t* p = nullptr;
+  TRANSER_RETURN_IF_ERROR(Take(size, &p));
+  *out = std::span<const uint8_t>(p, size);
   return Status::OK();
 }
 
@@ -310,24 +340,20 @@ Status WriteArtifact(const std::string& path, const Header& header,
     return Status::InvalidArgument("too many artifact sections");
   }
 
-  std::vector<uint8_t> file;
-  file.insert(file.end(), kMagic, kMagic + sizeof(kMagic));
-  Encoder body;
-  body.PutU32(kFormatVersion);
-  body.PutString(header.kind);
-  body.PutU64(header.schema_fingerprint);
-  body.PutU32(static_cast<uint32_t>(sections.size()));
+  Encoder out;
+  out.PutBytes(kMagic, sizeof(kMagic));
+  out.PutU32(kFormatVersion);
+  out.PutString(header.kind);
+  out.PutU64(header.schema_fingerprint);
+  out.PutU32(static_cast<uint32_t>(sections.size()));
   for (const Section& section : sections) {
-    body.PutString(section.name);
-    body.PutU64(section.payload.size());
-    for (uint8_t b : section.payload) body.PutU8(b);
-    body.PutU32(Crc32(section.payload.data(), section.payload.size()));
+    out.PutString(section.name);
+    out.PutU64(section.payload.size());
+    out.PutBytes(section.payload.data(), section.payload.size());
+    out.PutU32(Crc32(section.payload.data(), section.payload.size()));
   }
-  const std::vector<uint8_t> encoded = body.TakeBytes();
-  file.insert(file.end(), encoded.begin(), encoded.end());
-  Encoder trailer;
-  trailer.PutU32(Crc32(file.data(), file.size()));
-  file.insert(file.end(), trailer.bytes().begin(), trailer.bytes().end());
+  out.PutU32(Crc32(out.bytes().data(), out.bytes().size()));
+  const std::vector<uint8_t> file = out.TakeBytes();
 
   // Write-temp, fsync, rename: the artifact at `path` is always either
   // the previous complete file or the new complete file.
@@ -399,11 +425,7 @@ Result<Artifact> ReadArtifact(const std::string& path) {
   // flips anywhere (including in the version and length fields) fail
   // here, not deep inside the parser.
   const size_t body_size = file.size() - 4;
-  Decoder trailer(
-      std::span<const uint8_t>(file.data() + body_size, size_t{4}));
-  uint32_t stored_crc = 0;
-  TRANSER_RETURN_IF_ERROR(trailer.GetU32(&stored_crc));
-  if (Crc32(file.data(), body_size) != stored_crc) {
+  if (Crc32(file.data(), body_size) != LoadU32(file.data() + body_size)) {
     return Status::InvalidArgument(
         path + ": artifact checksum mismatch (truncated or corrupted)");
   }
@@ -443,10 +465,9 @@ Result<Artifact> ReadArtifact(const std::string& path) {
                     static_cast<unsigned long long>(payload_size),
                     body.remaining()));
     }
-    section.payload.resize(payload_size);
-    for (uint64_t b = 0; b < payload_size; ++b) {
-      TRANSER_RETURN_IF_ERROR(body.GetU8(&section.payload[b]));
-    }
+    std::span<const uint8_t> payload;
+    TRANSER_RETURN_IF_ERROR(body.GetBytes(payload_size, &payload));
+    section.payload.assign(payload.begin(), payload.end());
     uint32_t section_crc = 0;
     TRANSER_RETURN_IF_ERROR(body.GetU32(&section_crc));
     if (Crc32(section.payload.data(), section.payload.size()) !=

@@ -20,8 +20,15 @@ inline constexpr uint32_t kFormatVersion = 1;
 /// between the last section and the end of file.
 inline constexpr char kMagic[4] = {'T', 'E', 'R', 'A'};
 
-/// CRC-32 (IEEE 802.3 polynomial, the zlib crc32) of `size` bytes.
+/// CRC-32 (IEEE 802.3 polynomial, the zlib crc32) of `size` bytes,
+/// computed eight bytes per step (slicing-by-8). The one checksum of
+/// artifacts, frame journals and serve frames.
 uint32_t Crc32(const void* data, size_t size);
+
+/// Little-endian u32 / u64 at `p`, which the caller has bounds-checked.
+/// The fixed-offset reads of the journal and serve framing.
+uint32_t LoadU32(const uint8_t* p);
+uint64_t LoadU64(const uint8_t* p);
 
 /// The fsync implementation every artifact / journal writer in the
 /// library flushes through. Returns 0 on success, -1 with errno set on
@@ -67,14 +74,18 @@ uint64_t FingerprintFeatureSchema(const std::vector<std::string>& names);
 
 /// \brief Append-only typed byte buffer: the serialisation half of the
 /// artifact payload format. All integers are little-endian fixed width;
-/// doubles are their IEEE-754 bit patterns.
+/// doubles are their IEEE-754 bit patterns. Values are copied in host
+/// order, which artifact_io.cc asserts is little-endian; each value, and
+/// each whole vector, lands with one buffer growth and one memcpy.
 class Encoder {
  public:
   void PutU8(uint8_t v) { bytes_.push_back(v); }
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
-  void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
-  void PutDouble(double v);
+  void PutU32(uint32_t v) { PutBytes(&v, sizeof(v)); }
+  void PutU64(uint64_t v) { PutBytes(&v, sizeof(v)); }
+  void PutI64(int64_t v) { PutBytes(&v, sizeof(v)); }
+  void PutDouble(double v) { PutBytes(&v, sizeof(v)); }
+  /// `size` raw bytes, no length prefix.
+  void PutBytes(const void* data, size_t size);
   /// u32 length + raw bytes.
   void PutString(const std::string& s);
   /// u64 count + elements.
@@ -82,6 +93,14 @@ class Encoder {
   void PutIntVec(const std::vector<int>& v);     ///< elements as i64
   void PutU64Vec(const std::vector<uint64_t>& v);
   void PutStringVec(const std::vector<std::string>& v);
+
+  /// Capacity for `size` bytes in total, so an encoder whose final size
+  /// is known up front allocates once.
+  void Reserve(size_t size) { bytes_.reserve(size); }
+
+  /// Overwrites the u32 written earlier at byte `offset` (a length
+  /// field reserved before the bytes it counts).
+  void PatchU32(size_t offset, uint32_t v);
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
@@ -109,6 +128,8 @@ class Decoder {
   Status GetIntVec(std::vector<int>* out);
   Status GetU64Vec(std::vector<uint64_t>* out);
   Status GetStringVec(std::vector<std::string>* out);
+  /// The next `size` raw bytes, as a view into the decoded buffer.
+  Status GetBytes(size_t size, std::span<const uint8_t>* out);
 
   size_t remaining() const { return bytes_.size() - pos_; }
   /// InvalidArgument unless every payload byte was consumed — trailing
@@ -117,6 +138,9 @@ class Decoder {
 
  private:
   Status Take(size_t n, const uint8_t** out);
+  /// u64 count, checked against the bytes remaining, then the count's
+  /// 8-byte elements as one span.
+  Status TakeVector(const uint8_t** elements, size_t* count);
 
   std::span<const uint8_t> bytes_;
   size_t pos_ = 0;

@@ -21,23 +21,12 @@ namespace {
 constexpr uint32_t kFrameFormatVersion = 1;
 constexpr size_t kHeaderBytes = 12;  // magic(4) + version(4) + crc(4)
 
-uint32_t ReadLe32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-void PutLe32(uint32_t v, std::vector<uint8_t>* out) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<uint8_t>(v >> shift));
-  }
-}
-
 std::vector<uint8_t> EncodeHeader(const char magic[4]) {
-  std::vector<uint8_t> header(magic, magic + 4);
-  PutLe32(kFrameFormatVersion, &header);
-  PutLe32(artifact::Crc32(header.data(), header.size()), &header);
-  return header;
+  artifact::Encoder header;
+  header.PutBytes(magic, 4);
+  header.PutU32(kFrameFormatVersion);
+  header.PutU32(artifact::Crc32(header.bytes().data(), header.bytes().size()));
+  return header.TakeBytes();
 }
 
 /// Writes `bytes` to `path` via temp + fsync + rename + dir fsync. The
@@ -77,13 +66,11 @@ Status WriteFileAtomically(const std::string& path,
   return artifact::SyncParentDir(path);
 }
 
-std::vector<uint8_t> EncodeFrame(std::span<const uint8_t> payload) {
-  std::vector<uint8_t> frame;
-  frame.reserve(payload.size() + 8);
-  PutLe32(static_cast<uint32_t>(payload.size()), &frame);
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  PutLe32(artifact::Crc32(payload.data(), payload.size()), &frame);
-  return frame;
+/// Appends one `u32 length | payload | u32 CRC-32(payload)` frame.
+void PutFrame(std::span<const uint8_t> payload, artifact::Encoder* out) {
+  out->PutU32(static_cast<uint32_t>(payload.size()));
+  out->PutBytes(payload.data(), payload.size());
+  out->PutU32(artifact::Crc32(payload.data(), payload.size()));
 }
 
 /// Validates the 12-byte header and scans the frames of an in-memory
@@ -103,10 +90,10 @@ Status ScanJournalImage(const std::vector<uint8_t>& file,
     return Status::InvalidArgument(
         StrFormat("%s is not a '%.4s' journal", path.c_str(), magic));
   }
-  if (artifact::Crc32(file.data(), 8) != ReadLe32(file.data() + 8)) {
+  if (artifact::Crc32(file.data(), 8) != artifact::LoadU32(file.data() + 8)) {
     return Status::InvalidArgument(path + ": journal header is corrupt");
   }
-  const uint32_t version = ReadLe32(file.data() + 4);
+  const uint32_t version = artifact::LoadU32(file.data() + 4);
   if (version != kFrameFormatVersion) {
     return Status::FailedPrecondition(StrFormat(
         "%s: journal format version %u is not supported (this build "
@@ -124,7 +111,7 @@ Status ScanJournalImage(const std::vector<uint8_t>& file,
     if (file.size() - offset < 4) {
       torn = true;  // not even a length field
     } else {
-      const uint32_t length = ReadLe32(file.data() + offset);
+      const uint32_t length = artifact::LoadU32(file.data() + offset);
       if (length > options.max_frame_bytes ||
           file.size() - offset - 4 < static_cast<size_t>(length) + 4) {
         // The frame claims more bytes than exist (a mid-append crash,
@@ -133,7 +120,7 @@ Status ScanJournalImage(const std::vector<uint8_t>& file,
         torn = true;
       } else {
         const uint8_t* payload = file.data() + offset + 4;
-        const uint32_t stored_crc = ReadLe32(payload + length);
+        const uint32_t stored_crc = artifact::LoadU32(payload + length);
         if (artifact::Crc32(payload, length) != stored_crc) {
           // A complete frame whose CRC fails: torn only if it is the
           // final frame (the fsync may not have covered its last
@@ -301,7 +288,10 @@ Status FrameJournal::Append(std::span<const uint8_t> payload) {
         StrFormat("journal frame of %zu bytes exceeds the %u-byte cap",
                   payload.size(), options_.max_frame_bytes));
   }
-  const std::vector<uint8_t> frame = EncodeFrame(payload);
+  artifact::Encoder encoded;
+  encoded.Reserve(payload.size() + 8);
+  PutFrame(payload, &encoded);
+  const std::vector<uint8_t>& frame = encoded.bytes();
 
   // On any failure, truncate back to the previous durable prefix so the
   // on-disk journal never acknowledges a frame the caller was told
@@ -331,17 +321,18 @@ Status FrameJournal::Append(std::span<const uint8_t> payload) {
 Status FrameJournal::Rewrite(const std::string& path, const char magic[4],
                              const std::vector<std::vector<uint8_t>>& frames,
                              const FrameJournalOptions& options) {
-  std::vector<uint8_t> file = EncodeHeader(magic);
+  artifact::Encoder file;
+  const std::vector<uint8_t> header = EncodeHeader(magic);
+  file.PutBytes(header.data(), header.size());
   for (const std::vector<uint8_t>& payload : frames) {
     if (payload.size() > options.max_frame_bytes) {
       return Status::InvalidArgument(
           StrFormat("journal frame of %zu bytes exceeds the %u-byte cap",
                     payload.size(), options.max_frame_bytes));
     }
-    const std::vector<uint8_t> frame = EncodeFrame(payload);
-    file.insert(file.end(), frame.begin(), frame.end());
+    PutFrame(payload, &file);
   }
-  return WriteFileAtomically(path, file);
+  return WriteFileAtomically(path, file.bytes());
 }
 
 Status ScanFrames(const std::string& path, const char magic[4],
@@ -370,25 +361,14 @@ constexpr char kManifestMagic[4] = {'T', 'S', 'J', 'M'};
 constexpr uint32_t kManifestVersion = 1;
 constexpr size_t kManifestBytes = 28;  // magic(4)+ver(4)+first(8)+last(8)+crc(4)
 
-uint64_t ReadLe64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-void PutLe64(uint64_t v, std::vector<uint8_t>* out) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<uint8_t>(v >> shift));
-  }
-}
-
 std::vector<uint8_t> EncodeManifest(uint64_t first_id, uint64_t last_id) {
-  std::vector<uint8_t> bytes(kManifestMagic, kManifestMagic + 4);
-  PutLe32(kManifestVersion, &bytes);
-  PutLe64(first_id, &bytes);
-  PutLe64(last_id, &bytes);
-  PutLe32(artifact::Crc32(bytes.data(), bytes.size()), &bytes);
-  return bytes;
+  artifact::Encoder out;
+  out.PutBytes(kManifestMagic, 4);
+  out.PutU32(kManifestVersion);
+  out.PutU64(first_id);
+  out.PutU64(last_id);
+  out.PutU32(artifact::Crc32(out.bytes().data(), out.bytes().size()));
+  return out.TakeBytes();
 }
 
 Status DecodeManifest(const std::string& path,
@@ -399,18 +379,18 @@ Status DecodeManifest(const std::string& path,
     return Status::InvalidArgument(path + " is not a segment manifest");
   }
   if (artifact::Crc32(bytes.data(), kManifestBytes - 4) !=
-      ReadLe32(bytes.data() + kManifestBytes - 4)) {
+      artifact::LoadU32(bytes.data() + kManifestBytes - 4)) {
     return Status::InvalidArgument(path + ": segment manifest is corrupt");
   }
-  const uint32_t version = ReadLe32(bytes.data() + 4);
+  const uint32_t version = artifact::LoadU32(bytes.data() + 4);
   if (version != kManifestVersion) {
     return Status::FailedPrecondition(StrFormat(
         "%s: manifest version %u is not supported (this build reads "
         "version %u)",
         path.c_str(), version, kManifestVersion));
   }
-  *first_id = ReadLe64(bytes.data() + 8);
-  *last_id = ReadLe64(bytes.data() + 16);
+  *first_id = artifact::LoadU64(bytes.data() + 8);
+  *last_id = artifact::LoadU64(bytes.data() + 16);
   if (*first_id == 0 || *first_id > *last_id) {
     return Status::InvalidArgument(
         StrFormat("%s: manifest range [%llu, %llu] is invalid", path.c_str(),

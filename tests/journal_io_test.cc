@@ -91,6 +91,22 @@ TEST(FrameJournalTest, RoundTripsFramesInAppendOrder) {
   EXPECT_EQ(reopened.value().frame_count(), 6u);
 }
 
+TEST(FrameJournalTest, JournalBytesArePinned) {
+  // Literal file captured from the bytewise CRC that slicing-by-8
+  // replaced: header, then three frames of 5, 8 and 11 payload bytes.
+  const std::string path = TempPath("frame_pinned.wal");
+  WriteFrames(path, 3);
+  std::string hex;
+  char digits[3];
+  for (uint8_t b : FileBytes(path)) {
+    std::snprintf(digits, sizeof(digits), "%02x", b);
+    hex += digits;
+  }
+  EXPECT_EQ(hex,
+      "544a543101000000d0b4d7e70500000001080f161d7168344a0800000020272e"
+      "353c434a51f05bf21c0b0000003f464d545b626970777e85039b235b");
+}
+
 TEST(FrameJournalTest, CreatesEmptyJournalWithHeaderOnly) {
   const std::string path = TempPath("frame_fresh.wal");
   journal::FrameRecovery recovery;

@@ -266,6 +266,125 @@ TEST(ModelStoreTest, EveryByteFlipIsRejectedCleanly) {
   std::remove(mutated.c_str());
 }
 
+// ---------- Byte-identity pins ----------
+// Literal bytes captured from the per-byte encoder and bytewise CRC
+// that the bulk codec replaced. Saved artifacts outlive the build that
+// wrote them, so these bytes are a contract, not an implementation
+// detail.
+
+std::string ToHex(const std::vector<uint8_t>& bytes) {
+  std::string hex;
+  char digits[3];
+  for (uint8_t b : bytes) {
+    std::snprintf(digits, sizeof(digits), "%02x", b);
+    hex += digits;
+  }
+  return hex;
+}
+
+TEST(ModelStoreTest, EncoderBytesArePinned) {
+  artifact::Encoder out;
+  out.PutU8(0xA5);
+  out.PutU32(0x01020304u);
+  out.PutU64(0x1122334455667788ull);
+  out.PutI64(-2);
+  out.PutDouble(-0.15625);
+  out.PutString("tera");
+  out.PutDoubleVec({1.0, -0.0, 0.1});
+  out.PutIntVec({-1, 0, 2147483647});
+  out.PutU64Vec({0, ~0ull});
+  out.PutStringVec({"", "ab"});
+  out.PutDoubleVec({});
+  EXPECT_EQ(ToHex(out.bytes()),
+      "a5040302018877665544332211feffffffffffffff000000000000c4bf040000"
+      "00746572610300000000000000000000000000f03f00000000000000809a9999"
+      "999999b93f0300000000000000ffffffffffffffff0000000000000000ffffff"
+      "7f0000000002000000000000000000000000000000ffffffffffffffff020000"
+      "0000000000000000000200000061620000000000000000");
+
+  artifact::Decoder in(out.bytes());
+  uint8_t u8 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  int64_t i64 = 0;
+  double d = 0.0;
+  std::string s;
+  std::vector<double> doubles;
+  std::vector<int> ints;
+  std::vector<uint64_t> u64s;
+  std::vector<std::string> strings;
+  ASSERT_TRUE(in.GetU8(&u8).ok());
+  ASSERT_TRUE(in.GetU32(&u32).ok());
+  ASSERT_TRUE(in.GetU64(&u64).ok());
+  ASSERT_TRUE(in.GetI64(&i64).ok());
+  ASSERT_TRUE(in.GetDouble(&d).ok());
+  ASSERT_TRUE(in.GetString(&s).ok());
+  ASSERT_TRUE(in.GetDoubleVec(&doubles).ok());
+  ASSERT_TRUE(in.GetIntVec(&ints).ok());
+  ASSERT_TRUE(in.GetU64Vec(&u64s).ok());
+  ASSERT_TRUE(in.GetStringVec(&strings).ok());
+  std::vector<double> empty = {9.0};
+  ASSERT_TRUE(in.GetDoubleVec(&empty).ok());
+  EXPECT_TRUE(in.ExpectEnd().ok());
+  EXPECT_EQ(u8, 0xA5);
+  EXPECT_EQ(u32, 0x01020304u);
+  EXPECT_EQ(u64, 0x1122334455667788ull);
+  EXPECT_EQ(i64, -2);
+  EXPECT_EQ(d, -0.15625);
+  EXPECT_EQ(s, "tera");
+  ASSERT_EQ(doubles.size(), 3u);
+  EXPECT_EQ(doubles[0], 1.0);
+  EXPECT_TRUE(std::signbit(doubles[1]));
+  EXPECT_EQ(doubles[2], 0.1);
+  EXPECT_EQ(ints, (std::vector<int>{-1, 0, 2147483647}));
+  EXPECT_EQ(u64s, (std::vector<uint64_t>{0, ~0ull}));
+  EXPECT_EQ(strings, (std::vector<std::string>{"", "ab"}));
+  EXPECT_TRUE(empty.empty());
+}
+
+TEST(ModelStoreTest, IntVecRejectsElementsOutsideInt32) {
+  for (int64_t bad : {int64_t{2147483648LL}, int64_t{-2147483649LL}}) {
+    artifact::Encoder out;
+    out.PutU64(2);
+    out.PutI64(7);
+    out.PutI64(bad);
+    artifact::Decoder in(out.bytes());
+    std::vector<int> ints;
+    EXPECT_EQ(in.GetIntVec(&ints).code(), StatusCode::kInvalidArgument)
+        << bad;
+  }
+}
+
+TEST(ModelStoreTest, ClassifierArtifactBytesArePinned) {
+  // A kNN model stores its training data verbatim, so the artifact
+  // depends on no floating-point arithmetic and is the same on every
+  // build flavour.
+  Matrix x(4, 2);
+  const double cells[] = {0.0, 1.0, 0.25, 0.5, 1.0, 0.75, 0.125, -3.5};
+  for (size_t i = 0; i < 8; ++i) x(i / 2, i % 2) = cells[i];
+  KnnClassifierOptions options;
+  options.k = 3;
+  KnnClassifier model(options);
+  model.Fit(x, {0, 1, 1, 0}, {1.0, 2.0, 0.5, 0.25});
+  const std::string path = TempPath("pinned_knn.tera");
+  ASSERT_TRUE(SaveClassifierArtifact(model, {"jaro", "exact"}, path).ok());
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(fault::ReadFileBytes(path, &bytes).ok());
+  EXPECT_EQ(ToHex(bytes),
+      "54455241010000000a000000636c61737369666965724a1367f441d8ebcf0200"
+      "0000040000006d6574612000000000000000030000006b6e6e02000000000000"
+      "00040000006a61726f050000006578616374453739c2050000006d6f64656cb1"
+      "0000000000000003000000000000000104000000000000000200000000000000"
+      "08000000000000000000000000000000000000000000f03f000000000000d03f"
+      "000000000000e03f000000000000f03f000000000000e83f000000000000c03f"
+      "0000000000000cc0040000000000000000000000000000000100000000000000"
+      "010000000000000000000000000000000400000000000000000000000000f03f"
+      "0000000000000040000000000000e03f000000000000d03fce6ca4fb7359c72d");
+  auto loaded = LoadClassifierArtifact(path, {"jaro", "exact"});
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
 // ---------- TransER pipeline snapshots ----------
 
 TransERPipelineState MakePipelineState(uint64_t seed) {

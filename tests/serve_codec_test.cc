@@ -5,6 +5,8 @@
 // either decodes into a fully validated message or is rejected with a
 // structured status; never a crash, never partial state.
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -50,6 +52,47 @@ Response MakeValidResponse() {
   event.adjusted_value = 1.0;
   response.events.push_back(event);
   return response;
+}
+
+std::string ToHex(const std::vector<uint8_t>& bytes) {
+  std::string hex;
+  char digits[3];
+  for (uint8_t b : bytes) {
+    std::snprintf(digits, sizeof(digits), "%02x", b);
+    hex += digits;
+  }
+  return hex;
+}
+
+// ---------- Byte-identity pins --------------------------------------
+// Literal frames captured from the bytewise encoder and CRC that the
+// bulk codec replaced. The wire format is a contract with every
+// deployed client: a change here is a format change, not a refactor.
+
+TEST(ServeCodecTest, RequestFrameBytesArePinned) {
+  const std::vector<uint8_t> frame = EncodeRequest(MakeValidRequest());
+  // The encoder sizes the frame up front; a wrong size costs regrowth.
+  EXPECT_EQ(frame.capacity(), frame.size());
+  EXPECT_EQ(ToHex(frame),
+      "54535256a800000001010000002a0000000000000002fa000000030000000000"
+      "0000040000006a61726f070000006a616363617264070000007472696772616d"
+      "04000000000000000c000000000000009a9999999999b93f9a9999999999c93f"
+      "333333333333d33fcdccccccccccec3f9a9999999999e93f666666666666e63f"
+      "000000000000e03f000000000000e03f000000000000d03f0000000000000000"
+      "000000000000f03f000000000000e43f207c0012");
+}
+
+TEST(ServeCodecTest, ResponseFrameBytesArePinned) {
+  const std::vector<uint8_t> frame = EncodeResponse(MakeValidResponse());
+  EXPECT_EQ(frame.capacity(), frame.size());
+  EXPECT_EQ(ToHex(frame),
+      "54535256ce00000002010000002a0000000000000002011100000064626c705f"
+      "7363686f6c61722e7465726101000000000000ea3f000000000000f83f000000"
+      "0004000000000000000100000000000000000000000000000001000000000000"
+      "0001000000000000000400000000000000cdccccccccccec3f9a9999999999b9"
+      "3f000000000000e83f000000000000e43f0e0000007b227265616479223a7472"
+      "75657d01000000000000000f0500000073657276650d0000006d656d6f727920"
+      "6275646765740000000000000000000000000000f03f537dc6f6");
 }
 
 TEST(ServeCodecTest, RequestRoundTripIsBitExact) {
@@ -226,6 +269,51 @@ TEST(ServeCodecTest, FrameReaderReassemblesByteByByte) {
   EXPECT_EQ(frames[0], first);
   EXPECT_EQ(frames[1], second);
   EXPECT_EQ(reader.buffered_bytes(), 0u);
+}
+
+TEST(ServeCodecTest, FrameReaderPopsAThousandPipelinedFrames) {
+  // Frames of varying size, back to back in one stream, as a pipelining
+  // client sends them.
+  std::vector<std::vector<uint8_t>> sent;
+  std::vector<uint8_t> stream;
+  for (uint64_t i = 0; i < 1000; ++i) {
+    Request request = MakeValidRequest();
+    request.request_id = i;
+    request.rows = 1 + i % 7;
+    request.features.resize(request.rows * request.feature_names.size());
+    for (size_t j = 0; j < request.features.size(); ++j) {
+      request.features[j] = static_cast<double>((i + j) % 17) / 16.0;
+    }
+    sent.push_back(EncodeRequest(request));
+    stream.insert(stream.end(), sent.back().begin(), sent.back().end());
+  }
+
+  // All of it in one Feed, then every frame popped.
+  FrameReader reader{CodecLimits{}};
+  reader.Feed(stream.data(), stream.size());
+  std::vector<uint8_t> frame;
+  for (size_t i = 0; i < sent.size(); ++i) {
+    ASSERT_EQ(reader.Pop(&frame), FrameReader::Next::kFrame) << i;
+    ASSERT_EQ(frame, sent[i]) << "frame " << i;
+  }
+  EXPECT_EQ(reader.Pop(&frame), FrameReader::Next::kNeedMore);
+  EXPECT_EQ(reader.buffered_bytes(), 0u);
+
+  // The same stream in chunks that split frames anywhere, popping
+  // between feeds, so compaction runs with partial frames buffered.
+  FrameReader chunked{CodecLimits{}};
+  size_t popped = 0;
+  for (size_t offset = 0; offset < stream.size(); offset += 1009) {
+    const size_t n = std::min<size_t>(1009, stream.size() - offset);
+    chunked.Feed(stream.data() + offset, n);
+    while (chunked.Pop(&frame) == FrameReader::Next::kFrame) {
+      ASSERT_LT(popped, sent.size());
+      ASSERT_EQ(frame, sent[popped]) << "frame " << popped;
+      ++popped;
+    }
+  }
+  EXPECT_EQ(popped, sent.size());
+  EXPECT_EQ(chunked.buffered_bytes(), 0u);
 }
 
 TEST(ServeCodecTest, FrameReaderCondemnsBadMagic) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/artifact_io.h"
 #include "util/csv.h"
 #include "util/json.h"
 #include "util/random.h"
@@ -15,6 +16,49 @@
 
 namespace transer {
 namespace {
+
+// ---------- CRC-32 ----------
+
+// The bytewise CRC-32 that artifact::Crc32 replaced: one 256-entry
+// table lookup per byte over the reflected 0xEDB88320 polynomial. Kept
+// here, not in src/, as the reference the fast path must equal.
+uint32_t BytewiseCrc32(const uint8_t* data, size_t size) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesTheCheckValue) {
+  EXPECT_EQ(artifact::Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(artifact::Crc32(nullptr, 0), 0u);
+  EXPECT_EQ(artifact::Crc32("", 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(20051);
+  std::vector<uint8_t> buffer(4096 + 8);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.NextUint64());
+  for (size_t start = 0; start < 8; ++start) {
+    const uint8_t* data = buffer.data() + start;
+    for (size_t length = 0; length <= 4096; ++length) {
+      ASSERT_EQ(artifact::Crc32(data, length), BytewiseCrc32(data, length))
+          << "start " << start << " length " << length;
+    }
+  }
+}
 
 // ---------- Status ----------
 
