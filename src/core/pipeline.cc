@@ -1,23 +1,6 @@
 #include "core/pipeline.h"
 
-#include <unordered_map>
-
 namespace transer {
-
-namespace {
-
-size_t CountCandidateTrueMatches(const LinkageProblem& problem,
-                                 const std::vector<PairRef>& pairs) {
-  size_t count = 0;
-  for (const PairRef& pair : pairs) {
-    const Record& l = problem.left.record(pair.left_index);
-    const Record& r = problem.right.record(pair.right_index);
-    if (l.entity_id >= 0 && l.entity_id == r.entity_id) ++count;
-  }
-  return count;
-}
-
-}  // namespace
 
 Result<FeatureMatrix> BuildDomainFeatures(const LinkageProblem& problem,
                                           const PipelineOptions& options,
@@ -51,8 +34,10 @@ Result<FeatureMatrix> BuildDomainFeatures(const LinkageProblem& problem,
 
   if (info != nullptr) {
     info->candidate_pairs = pairs.size();
-    info->true_matches_in_candidates =
-        CountCandidateTrueMatches(problem, pairs);
+    // CompareAll labels a pair kMatch exactly when both records carry
+    // the same known entity id, so the label count is the true-match
+    // count of the candidate set.
+    info->true_matches_in_candidates = features.CountMatches();
     info->true_matches_total = problem.CountTrueMatches();
   }
   return features;

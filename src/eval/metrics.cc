@@ -30,6 +30,17 @@ ConfusionCounts CountConfusion(const std::vector<int>& truth,
   return counts;
 }
 
+double Accuracy(const std::vector<int>& truth,
+                const std::vector<int>& predicted) {
+  TRANSER_CHECK_EQ(truth.size(), predicted.size());
+  if (truth.empty()) return 0.0;
+  size_t correct = 0;
+  for (size_t i = 0; i < truth.size(); ++i) {
+    if (truth[i] == predicted[i]) ++correct;
+  }
+  return static_cast<double>(correct) / static_cast<double>(truth.size());
+}
+
 LinkageQuality ComputeQuality(const ConfusionCounts& counts) {
   LinkageQuality q;
   const double tp = static_cast<double>(counts.true_positives);

@@ -30,6 +30,11 @@ struct LinkageQuality {
 ConfusionCounts CountConfusion(const std::vector<int>& truth,
                                const std::vector<int>& predicted);
 
+/// Fraction of equal entries in two equal-length label vectors; 0 when
+/// both are empty.
+double Accuracy(const std::vector<int>& truth,
+                const std::vector<int>& predicted);
+
 /// Derives the quality measures; empty denominators yield 0.
 LinkageQuality ComputeQuality(const ConfusionCounts& counts);
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "ml/decision_tree.h"
-#include "ml/gradient_boosting.h"
 #include "ml/knn_classifier.h"
 #include "ml/linear_svm.h"
 #include "ml/logistic_regression.h"
@@ -89,8 +88,6 @@ Result<std::unique_ptr<Classifier>> MakeClassifierByName(
     made = std::make_unique<DecisionTree>();
   } else if (name == "random_forest") {
     made = std::make_unique<RandomForest>();
-  } else if (name == "gradient_boosting") {
-    made = std::make_unique<GradientBoosting>();
   } else if (name == "logistic_regression") {
     made = std::make_unique<LogisticRegression>();
   } else if (name == "linear_svm") {
@@ -107,7 +104,7 @@ Result<std::unique_ptr<Classifier>> MakeClassifierByName(
     made = std::make_unique<ThresholdClassifier>();
   } else {
     return Status::FailedPrecondition(StrFormat(
-        "unknown classifier family '%s' (artifact from a newer build?)",
+        "unknown classifier family '%s' (artifact from another build?)",
         name.c_str()));
   }
   return made;

@@ -27,9 +27,10 @@ inline constexpr char kPipelineArtifactKind[] = "transer_pipeline";
 
 /// Creates an untrained classifier of the family serialised under `name`
 /// (the Classifier::name() string: "decision_tree", "random_forest",
-/// "gradient_boosting", "logistic_regression", "linear_svm",
-/// "naive_bayes", "knn", "mlp", "threshold"). Unknown names — artifacts
-/// from a newer build, or crafted files — yield FailedPrecondition.
+/// "logistic_regression", "linear_svm", "naive_bayes", "knn", "mlp",
+/// "threshold"). Unknown names — artifacts from another build, such as
+/// the retired "gradient_boosting" family, or crafted files — yield
+/// FailedPrecondition.
 /// `knn`, when non-null, picks the index the "knn" family rebuilds on
 /// LoadState (the backend is a host runtime choice, never part of the
 /// artifact — see ml/knn_classifier.h); other families ignore it.

@@ -15,22 +15,23 @@ namespace stream {
 struct IncrementalBlockingOptions {
   /// Attribute whose value derives the blocking key.
   size_t key_attribute = 0;
-  /// Lower-cased prefix length of the key attribute (the same key family
-  /// as StandardBlocker::AttributePrefixKey).
+  /// Key length: the key is the first `prefix_length` bytes of the key
+  /// attribute's value, each ASCII-lower-cased, with no other
+  /// normalisation.
   size_t prefix_length = 3;
-  /// Blocks past this size stop emitting candidate pairs — the streaming
-  /// form of StandardBlockingOptions::max_block_size (a key shared by
-  /// thousands of records is non-discriminative and would make ingest
-  /// cost quadratic).
+  /// Blocks past this size stop emitting candidate pairs. A key shared by
+  /// thousands of records does not discriminate between them, and every
+  /// insert into its block would be compared against all earlier members,
+  /// making ingest cost quadratic in the block size.
   size_t max_block_size = 256;
 };
 
-/// \brief Streaming counterpart of blocking/standard_blocking: records
-/// are inserted one at a time and each insert returns the candidate
-/// partners the new record must be compared against. The batch blocker
-/// rebuilds its key map per call; this one is the long-lived index the
-/// ingest loop owns. Inserts are deterministic in insert order, which is
-/// the replay-determinism requirement (DESIGN.md §11).
+/// \brief Key-equality blocking for a record stream: records are inserted
+/// one at a time and each insert returns the candidate partners the new
+/// record must be compared against, the earlier records with the same
+/// key. This is the long-lived index the ingest loop owns. Inserts are
+/// deterministic in insert order, which is the replay-determinism
+/// requirement (DESIGN.md §11).
 class IncrementalBlockingIndex {
  public:
   explicit IncrementalBlockingIndex(IncrementalBlockingOptions options = {})
@@ -52,8 +53,9 @@ class IncrementalBlockingIndex {
   /// Inserts whose block was over the cap (no candidates emitted).
   size_t suppressed_inserts() const { return suppressed_; }
 
-  /// Order-insensitive-free digest of the full index state (keys and
-  /// member indices, in key order) for the bit-identity checks.
+  /// FNV-1a digest of the full index state for the bit-identity checks:
+  /// every key in key order, each followed by its member indices in
+  /// insert order. Two indices fed the same inserts digest equal.
   uint64_t Digest() const;
 
  private:

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "blocking/minhash_lsh.h"
-#include "blocking/sorted_neighbourhood.h"
-#include "blocking/standard_blocking.h"
 #include "data/bibliographic_generator.h"
 
 namespace transer {
@@ -33,45 +31,6 @@ std::set<std::pair<size_t, size_t>> ToSet(const std::vector<PairRef>& pairs) {
     out.insert({pair.left_index, pair.right_index});
   }
   return out;
-}
-
-// ---------- standard blocking ----------
-
-TEST(StandardBlockingTest, GroupsByKeyPrefix) {
-  const LinkageProblem problem = SmallProblem();
-  StandardBlocker blocker(StandardBlocker::AttributePrefixKey(0, 2));
-  const auto pairs = ToSet(blocker.Block(problem.left, problem.right));
-  // "al" block: (l0, r0); "ca" block: (l2, r2); no cross-block pairs.
-  EXPECT_TRUE(pairs.count({0, 0}));
-  EXPECT_TRUE(pairs.count({2, 2}));
-  EXPECT_FALSE(pairs.count({1, 1}));
-  EXPECT_EQ(pairs.size(), 2u);
-}
-
-TEST(StandardBlockingTest, SkipsOversizedBlocks) {
-  Schema schema({{"k", "exact"}});
-  LinkageProblem problem;
-  problem.left = Dataset("l", schema);
-  problem.right = Dataset("r", schema);
-  for (int i = 0; i < 20; ++i) {
-    problem.left.Add({"l" + std::to_string(i), i, {"same"}});
-    problem.right.Add({"r" + std::to_string(i), i, {"same"}});
-  }
-  StandardBlockingOptions options;
-  options.max_block_size = 10;
-  StandardBlocker blocker(StandardBlocker::AttributePrefixKey(0, 4), options);
-  EXPECT_TRUE(blocker.Block(problem.left, problem.right).empty());
-}
-
-TEST(StandardBlockingTest, EmptyKeysAreIgnored) {
-  Schema schema({{"k", "exact"}});
-  LinkageProblem problem;
-  problem.left = Dataset("l", schema);
-  problem.right = Dataset("r", schema);
-  problem.left.Add({"l0", 0, {""}});
-  problem.right.Add({"r0", 0, {""}});
-  StandardBlocker blocker(StandardBlocker::AttributePrefixKey(0, 3));
-  EXPECT_TRUE(blocker.Block(problem.left, problem.right).empty());
 }
 
 // ---------- MinHash LSH ----------
@@ -156,8 +115,6 @@ TEST(MinHashLshTest, AttributeSubsetRestrictsShingles) {
   EXPECT_EQ(blocker.Signature(a), blocker.Signature(b));
 }
 
-// ---------- sorted neighbourhood ----------
-
 TEST(MinHashLshTest, PairsAndTheirOrderAreThreadInvariant) {
   BibliographicOptions gen_options;
   gen_options.num_entities = 600;
@@ -181,33 +138,6 @@ TEST(MinHashLshTest, PairsAndTheirOrderAreThreadInvariant) {
           << "threads " << threads << " pair " << i;
     }
   }
-}
-
-TEST(SortedNeighbourhoodTest, WindowCapturesAdjacentKeys) {
-  const LinkageProblem problem = SmallProblem();
-  SortedNeighbourhoodOptions options;
-  options.window = 3;
-  SortedNeighbourhoodBlocker blocker(
-      StandardBlocker::AttributePrefixKey(0, 5), options);
-  const auto pairs = ToSet(blocker.Block(problem.left, problem.right));
-  // "alice..." sorts next to "alice..." across databases.
-  EXPECT_TRUE(pairs.count({0, 0}));
-}
-
-TEST(SortedNeighbourhoodTest, LargerWindowNeverReturnsFewerPairs) {
-  BibliographicOptions gen_options;
-  gen_options.num_entities = 100;
-  const LinkageProblem problem = GenerateBibliographic(gen_options);
-  SortedNeighbourhoodOptions narrow_options;
-  narrow_options.window = 3;
-  SortedNeighbourhoodOptions wide_options;
-  wide_options.window = 9;
-  SortedNeighbourhoodBlocker narrow(
-      StandardBlocker::AttributePrefixKey(0, 6), narrow_options);
-  SortedNeighbourhoodBlocker wide(
-      StandardBlocker::AttributePrefixKey(0, 6), wide_options);
-  EXPECT_GE(wide.Block(problem.left, problem.right).size(),
-            narrow.Block(problem.left, problem.right).size());
 }
 
 }  // namespace

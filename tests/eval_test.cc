@@ -49,6 +49,12 @@ TEST(MetricsTest, PerfectPrediction) {
   EXPECT_DOUBLE_EQ(q.f_star, 1.0);
 }
 
+TEST(MetricsTest, AccuracyCountsEqualLabels) {
+  EXPECT_DOUBLE_EQ(Accuracy({1, 0, 1}, {1, 1, 1}), 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(Accuracy({1, 0}, {1, 0}), 1.0);
+  EXPECT_DOUBLE_EQ(Accuracy({}, {}), 0.0);
+}
+
 // Property: F* computed from counts equals the P/R identity
 // F* = PR / (P + R - PR) [Hand, Christen & Kirielle 2021], and
 // F* <= F1 always.

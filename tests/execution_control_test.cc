@@ -12,10 +12,9 @@
 #include <gtest/gtest.h>
 
 #include "blocking/minhash_lsh.h"
-#include "blocking/sorted_neighbourhood.h"
-#include "blocking/standard_blocking.h"
 #include "core/experiment.h"
 #include "core/transer.h"
+#include "data/bibliographic_generator.h"
 #include "data/feature_space_generator.h"
 #include "knn/brute_force.h"
 #include "knn/kd_tree.h"
@@ -300,9 +299,11 @@ LinkageProblem OneKeyProblem(size_t per_side) {
   return problem;
 }
 
-TEST(BlockingBudgetTest, StandardBlockingReportsMe) {
-  const LinkageProblem problem = OneKeyProblem(40);  // 1600 candidate pairs
-  StandardBlocker blocker(StandardBlocker::AttributePrefixKey(0, 4));
+TEST(BlockingBudgetTest, MinHashLshReportsMe) {
+  // The signatures need 80 records x 32 rows x 8 bytes = 20480 bytes,
+  // far past the 1 KiB budget, so the reservation fails before hashing.
+  const LinkageProblem problem = OneKeyProblem(40);
+  MinHashLshBlocker blocker;
   ExecutionContext context({/*time=*/0.0, /*memory=*/1024});
   RunDiagnostics diagnostics;
   auto pairs =
@@ -310,25 +311,7 @@ TEST(BlockingBudgetTest, StandardBlockingReportsMe) {
   ASSERT_FALSE(pairs.ok());
   EXPECT_NE(pairs.status().message().find("(ME)"), std::string::npos);
   EXPECT_TRUE(diagnostics.HasKind(DegradationKind::kMemoryLimitExceeded));
-}
-
-TEST(BlockingBudgetTest, StandardBlockingReportsTe) {
-  const LinkageProblem problem = OneKeyProblem(10);
-  StandardBlocker blocker(StandardBlocker::AttributePrefixKey(0, 4));
-  ExecutionContext context({/*time=*/1e-9, /*memory=*/0});
-  auto pairs = blocker.Block(problem.left, problem.right, context);
-  ASSERT_FALSE(pairs.ok());
-  EXPECT_NE(pairs.status().message().find("(TE)"), std::string::npos);
-}
-
-TEST(BlockingBudgetTest, SortedNeighbourhoodReportsTe) {
-  const LinkageProblem problem = OneKeyProblem(10);
-  SortedNeighbourhoodBlocker blocker(
-      StandardBlocker::AttributePrefixKey(0, 4));
-  ExecutionContext context({/*time=*/1e-9, /*memory=*/0});
-  auto pairs = blocker.Block(problem.left, problem.right, context);
-  ASSERT_FALSE(pairs.ok());
-  EXPECT_NE(pairs.status().message().find("(TE)"), std::string::npos);
+  EXPECT_EQ(context.reserved_bytes(), 0u);
 }
 
 TEST(BlockingBudgetTest, MinHashLshReportsTe) {
@@ -341,13 +324,25 @@ TEST(BlockingBudgetTest, MinHashLshReportsTe) {
 }
 
 TEST(BlockingBudgetTest, ContextVariantMatchesPlainBlocking) {
-  const LinkageProblem problem = OneKeyProblem(10);
-  StandardBlocker blocker(StandardBlocker::AttributePrefixKey(0, 4));
-  const auto plain = blocker.Block(problem.left, problem.right);
-  auto budgeted = blocker.Block(problem.left, problem.right,
-                                ExecutionContext::Unlimited());
-  ASSERT_TRUE(budgeted.ok());
-  EXPECT_EQ(budgeted.value().size(), plain.size());
+  BibliographicOptions gen_options;
+  gen_options.num_entities = 200;
+  gen_options.right_corruption.typo_probability = 0.3;
+  const LinkageProblem problem = GenerateBibliographic(gen_options);
+  MinHashLshBlocker blocker;
+  const std::vector<PairRef> plain =
+      blocker.Block(problem.left, problem.right);
+  ASSERT_FALSE(plain.empty());
+  // A budget that fits the signatures takes the reservation path and
+  // must change nothing about the pairs or their order.
+  ExecutionContext context({/*time=*/0.0, /*memory=*/64u << 20});
+  auto budgeted = blocker.Block(problem.left, problem.right, context);
+  ASSERT_TRUE(budgeted.ok()) << budgeted.status().ToString();
+  EXPECT_EQ(context.reserved_bytes(), 0u);
+  ASSERT_EQ(budgeted.value().size(), plain.size());
+  for (size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(budgeted.value()[i].left_index, plain[i].left_index) << i;
+    EXPECT_EQ(budgeted.value()[i].right_index, plain[i].right_index) << i;
+  }
 }
 
 // ---------- kNN under a budget ----------

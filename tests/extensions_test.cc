@@ -11,7 +11,6 @@
 #include "data/feature_space_generator.h"
 #include "eval/metrics.h"
 #include "ml/knn_classifier.h"
-#include "ml/metrics_util.h"
 #include "ml/random_forest.h"
 #include "util/random.h"
 

@@ -3,11 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include "eval/metrics.h"
 #include "ml/classifier.h"
 #include "ml/decision_tree.h"
 #include "ml/linear_svm.h"
 #include "ml/logistic_regression.h"
-#include "ml/metrics_util.h"
 #include "ml/mlp.h"
 #include "ml/naive_bayes.h"
 #include "ml/random_forest.h"
@@ -314,24 +314,6 @@ TEST(SamplingTest, RandomSubsetSizeAndRange) {
   const auto subset = RandomSubset(100, 0.3, &rng);
   EXPECT_EQ(subset.size(), 30u);
   for (size_t v : subset) EXPECT_LT(v, 100u);
-}
-
-// ---------- metrics_util ----------
-
-TEST(MetricsUtilTest, AccuracyAndLogLoss) {
-  EXPECT_DOUBLE_EQ(Accuracy({1, 0, 1}, {1, 1, 1}), 2.0 / 3.0);
-  EXPECT_NEAR(LogLoss({1}, {1.0}), 0.0, 1e-9);
-  EXPECT_GT(LogLoss({1}, {0.01}), 4.0);
-}
-
-TEST(MetricsUtilTest, CrossValidationOnSeparableData) {
-  const Blobs blobs = MakeBlobs(100, 3, 4.0, 79);
-  const double acc = CrossValidatedAccuracy(
-      []() -> std::unique_ptr<Classifier> {
-        return std::make_unique<LogisticRegression>();
-      },
-      blobs.x, blobs.y, 5, 80);
-  EXPECT_GT(acc, 0.95);
 }
 
 // ---------- default suite ----------

@@ -14,7 +14,6 @@
 #include "core/transer.h"
 #include "data/feature_space_generator.h"
 #include "ml/decision_tree.h"
-#include "ml/gradient_boosting.h"
 #include "ml/knn_classifier.h"
 #include "ml/linear_svm.h"
 #include "ml/logistic_regression.h"
@@ -73,9 +72,6 @@ std::unique_ptr<Classifier> MakeRf() {
   options.num_trees = 8;
   return std::make_unique<RandomForest>(options);
 }
-std::unique_ptr<Classifier> MakeGb() {
-  return std::make_unique<GradientBoosting>();
-}
 std::unique_ptr<Classifier> MakeLr() {
   return std::make_unique<LogisticRegression>();
 }
@@ -126,9 +122,9 @@ TEST_P(ModelRoundTripTest, SaveLoadPredictBitIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFamilies, ModelRoundTripTest,
-                         ::testing::Values(MakeDt, MakeRf, MakeGb, MakeLr,
-                                           MakeSvm, MakeNb, MakeKnn,
-                                           MakeMlp, MakeThreshold));
+                         ::testing::Values(MakeDt, MakeRf, MakeLr, MakeSvm,
+                                           MakeNb, MakeKnn, MakeMlp,
+                                           MakeThreshold));
 
 TEST(ModelStoreTest, ScalerRoundTripIsExact) {
   const Blobs train = MakeBlobs(60, kSchema.size(), 2.0, 73);
@@ -162,6 +158,35 @@ TEST(ModelStoreTest, UnsaveableClassifierRefusesCleanly) {
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
   std::vector<uint8_t> bytes;
   EXPECT_FALSE(fault::ReadFileBytes(path, &bytes).ok());
+}
+
+TEST(ModelStoreTest, RetiredGradientBoostingFamilyIsRefusedCleanly) {
+  // Gradient boosting is no longer a classifier family. Its name must take
+  // the unknown-family path, and so must an intact artifact declaring it.
+  auto made = MakeClassifierByName("gradient_boosting");
+  EXPECT_EQ(made.status().code(), StatusCode::kFailedPrecondition);
+
+  class Retired : public Classifier {
+   public:
+    void Fit(const Matrix&, const std::vector<int>&,
+             const std::vector<double>&) override {}
+    double PredictProba(std::span<const double>) const override {
+      return 0.5;
+    }
+    std::string name() const override { return "gradient_boosting"; }
+    Status SaveState(artifact::Encoder* out) const override {
+      out->PutU64(2);
+      out->PutDoubleVec({0.1, -0.25});
+      return Status::OK();
+    }
+  };
+  const std::string path = TempPath("retired_family.tera");
+  ASSERT_TRUE(SaveClassifierArtifact(Retired(), kSchema, path).ok());
+  auto loaded = LoadClassifierArtifact(path, kSchema);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(loaded.status().message().find("gradient_boosting"),
+            std::string::npos);
+  std::remove(path.c_str());
 }
 
 // ---------- Rejection: missing, mismatched, tampered ----------

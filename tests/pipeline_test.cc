@@ -53,6 +53,36 @@ TEST(PipelineTest, BuildDomainFeaturesProducesLabelledMatrix) {
   EXPECT_EQ(info.candidate_pairs, features.value().size());
 }
 
+TEST(PipelineTest, BlockingCountsComeFromTheComparatorLabels) {
+  const LinkageProblem problem = CleanBibProblem(203);
+  PipelineBuildInfo info;
+  auto built = BuildDomainFeatures(problem, {}, &info);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const FeatureMatrix& features = built.value();
+  EXPECT_EQ(info.true_matches_in_candidates, features.CountMatches());
+  EXPECT_EQ(info.true_matches_total, problem.CountTrueMatches());
+
+  // The labels are the entity-id predicate over the candidate pairs.
+  size_t same_entity = 0;
+  for (size_t i = 0; i < features.size(); ++i) {
+    const Record& l = problem.left.record(features.pair(i).left_index);
+    const Record& r = problem.right.record(features.pair(i).right_index);
+    if (l.entity_id >= 0 && l.entity_id == r.entity_id) ++same_entity;
+  }
+  EXPECT_EQ(info.true_matches_in_candidates, same_entity);
+
+  // MinHash-LSH keeps most true matches (pairs completeness) while
+  // pruning most of the cross product (reduction ratio), and more than
+  // one candidate in 20 is a true match (pairs quality).
+  EXPECT_GT(info.BlockingRecall(), 0.9);
+  EXPECT_LT(info.candidate_pairs,
+            problem.left.size() * problem.right.size() / 2);
+  EXPECT_GT(20 * info.true_matches_in_candidates, info.candidate_pairs);
+
+  // No true matches at all: pairs completeness is 0, not NaN.
+  EXPECT_EQ(PipelineBuildInfo{}.BlockingRecall(), 0.0);
+}
+
 TEST(PipelineTest, MatchPairsScoreHigherThanNonMatches) {
   const LinkageProblem problem = CleanBibProblem(202);
   auto features = BuildDomainFeatures(problem, {});
